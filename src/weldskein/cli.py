@@ -67,7 +67,7 @@ def cmd_eval(args) -> int:
     cs = _coefficient_system(args)
     sets = _parse_sets(args.set)
     try:
-        value = y_invariant(d, cs, threads=args.threads)
+        value = y_invariant(d, cs)
     except WenError as exc:
         raise CliError(f'{exc} (extended mode admits wens)', 1)
     if sets:
@@ -146,7 +146,7 @@ def cmd_check_invariance(args) -> int:
     d = _load(args.input)
     cs = _coefficient_system(args)
     try:
-        reference = y_invariant(d, cs, threads=args.threads)
+        reference = y_invariant(d, cs)
     except WenError as exc:
         raise CliError(str(exc), 1)
     wen_moves = cs.nu == 1
@@ -154,7 +154,7 @@ def cmd_check_invariance(args) -> int:
     for trial in range(args.trials):
         scrambled = mv.scramble(d, seed=args.seed + trial, n_moves=args.moves,
                                 size_cap=args.size_cap, wen_moves=wen_moves)
-        value = y_invariant(scrambled, cs, threads=args.threads)
+        value = y_invariant(scrambled, cs)
         if value != reference:
             failures.append({'trial': trial, 'seed': args.seed + trial,
                              'value': value.render()})
@@ -225,12 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
         description='Skein invariants of welded and extended welded links.')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    def common(p, with_family=True):
-        if with_family:
-            p.add_argument('--mode', choices=('welded', 'extended'),
-                           default='extended')
-            p.add_argument('--nu', choices=('1', '-1', 'sym'), default=None)
-        p.add_argument('--threads', type=int, default=1)
+    def family(p, modes=('welded', 'extended'), default='extended'):
+        p.add_argument('--mode', choices=modes, default=default)
+        p.add_argument('--nu', choices=('1', '-1', 'sym'), default=None)
+
+    def common(p, evaluates=True):
+        if evaluates:
+            p.add_argument('--threads', type=int, default=1,
+                           help='accepted for compatibility; evaluation is '
+                                'single-threaded')
         p.add_argument('--json', action='store_true')
         p.add_argument('-o', '--output', default=None)
 
@@ -240,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default='ab')
     p.add_argument('--set', action='append', metavar='NAME=VAL',
                    help='specialize r or s to +-1')
+    family(p)
     common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser('info', help='diagram statistics')
     p.add_argument('input')
-    common(p, with_family=False)
+    common(p, evaluates=False)
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser('scramble', help='rewrite a diagram by random moves')
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--seed', type=int, default=0)
     p.add_argument('--moves', type=int, default=20)
     p.add_argument('--size-cap', type=int, default=14)
-    common(p, with_family=False)
+    common(p, evaluates=False)
     p.set_defaults(fn=cmd_scramble)
 
     p = sub.add_parser('check-invariance',
@@ -263,17 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--trials', type=int, default=20)
     p.add_argument('--moves', type=int, default=20)
     p.add_argument('--size-cap', type=int, default=14)
+    family(p)
     common(p)
     p.set_defaults(fn=cmd_check_invariance)
 
     p = sub.add_parser('verify-moves',
                        help='re-derive and check the coefficient constraints')
-    p.add_argument('--mode', choices=('generic', 'welded', 'extended'),
-                   default='generic')
-    p.add_argument('--nu', choices=('1', '-1', 'sym'), default=None)
-    p.add_argument('--threads', type=int, default=1)
-    p.add_argument('--json', action='store_true')
-    p.add_argument('-o', '--output', default=None)
+    family(p, ('generic', 'welded', 'extended'), 'generic')
+    common(p)
     p.set_defaults(fn=cmd_verify_moves)
 
     return parser

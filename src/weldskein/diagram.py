@@ -74,12 +74,10 @@ class VirtualCrossing:
 
 @dataclass(frozen=True)
 class Wen:
+    """A wen on one strand; ``W a a`` is the one-wen circle."""
+
     w_in: str
     w_out: str
-
-    def __post_init__(self):
-        if self.w_in == self.w_out:
-            raise DiagramError('wen slots must reference distinct edges')
 
     @property
     def in_slots(self):
@@ -198,41 +196,56 @@ def wen_count(d: Diagram) -> tuple[int, int]:
     return w, w % 2
 
 
+class UnionFind:
+    """Union-find over string keys; ``find`` adds an unseen key as a singleton."""
+
+    def __init__(self, keys: Iterable[str] = ()):
+        self.parent: dict[str, str] = {}
+        for key in keys:
+            self.find(key)
+
+    def find(self, e: str) -> str:
+        parent = self.parent
+        parent.setdefault(e, e)
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    def union(self, e1: str, e2: str) -> None:
+        r1, r2 = self.find(e1), self.find(e2)
+        if r1 != r2:
+            self.parent[r1] = r2
+
+    def roots(self) -> set[str]:
+        return {self.find(e) for e in self.parent}
+
+
+def pass_through(d: Diagram) -> UnionFind:
+    """Join the edges a strand passes through virtual crossings and wens."""
+    uf = UnionFind()
+    for v in d.virtual_x:
+        uf.union(v.a_in, v.a_out)
+        uf.union(v.b_in, v.b_out)
+    for w in d.wens:
+        uf.union(w.w_in, w.w_out)
+    return uf
+
+
 def components(d: Diagram) -> int:
     """Number of link components, tracing strands through all vertices."""
-    parent: dict[str, str] = {}
-
-    def find(e: str) -> str:
-        parent.setdefault(e, e)
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(e1: str, e2: str) -> None:
-        r1, r2 = find(e1), find(e2)
-        if r1 != r2:
-            parent[r1] = r2
-
+    uf = pass_through(d)
     for c in d.classical:
-        union(c.over_in, c.over_out)
-        union(c.under_in, c.under_out)
-    for v in d.virtual_x:
-        union(v.a_in, v.a_out)
-        union(v.b_in, v.b_out)
-    for w in d.wens:
-        union(w.w_in, w.w_out)
-    roots = {find(e) for e in parent}
-    return len(roots) + d.free_loops
+        uf.union(c.over_in, c.over_out)
+        uf.union(c.under_in, c.under_out)
+    return len(uf.roots()) + d.free_loops
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     """Place two diagrams side by side, renaming edges to avoid collisions."""
 
-    def rename(v: Vertex, prefix: str) -> Vertex:
-        kwargs = {name: prefix + val for name, val in
+    def rename(v: Vertex, side: str) -> Vertex:
+        kwargs = {name: side + val for name, val in
                   [(f.name, getattr(v, f.name)) for f in v.__dataclass_fields__.values()
                    if f.name != 'sign']}
         if isinstance(v, ClassicalCrossing):

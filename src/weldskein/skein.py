@@ -7,9 +7,13 @@ evaluates to
 
     coeff(state) * t^(#circles) * r^(#virtual crossings mod 2) * s^(#wens mod 2).
 
-The bracket sums this over all 3^n states.  Y multiplies the bracket by
-r^(virtual writhe) and by the inverse writhe power of omega = a*r - nu*b,
-whose inverse is (-r*a - nu*b)/delta.
+The bracket sums this over all 3^n states: ``_kernel_inputs`` contracts the
+strands through virtual crossings and wens into nodes, the state-sum kernel
+(``statesum.smoothing_histogram``) counts the states by coefficient shape,
+and ``bracket`` assembles the polynomial.  ``state_value`` evaluates one
+state on its own and serves as the oracle for that path.  Y multiplies the
+bracket by r^(virtual writhe) and by the inverse writhe power of
+omega = a*r - nu*b, whose inverse is (-r*a - nu*b)/delta.
 
 Coefficient systems:
 
@@ -27,7 +31,8 @@ from typing import Optional, Sequence
 from weldskein import statesum
 from weldskein.algebra import (FULL, DeltaFraction, Polynomial, VariableSet,
                                delta)
-from weldskein.diagram import Diagram, check_valid, virtual_writhe, writhe
+from weldskein.diagram import (Diagram, check_valid, pass_through,
+                               virtual_writhe, writhe)
 
 SMOOTHINGS = ('V', 'I', 'C')
 
@@ -170,30 +175,11 @@ def smoothing_pairs(c, smoothing: str):
 
 def state_loops(d: Diagram, s: State) -> int:
     """Closed components of the resolved state, including free loops."""
-    parent: dict[str, str] = {}
-
-    def find(e):
-        parent.setdefault(e, e)
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e1, e2):
-        r1, r2 = find(e1), find(e2)
-        if r1 != r2:
-            parent[r1] = r2
-
-    for v in d.virtual_x:
-        union(v.a_in, v.a_out)
-        union(v.b_in, v.b_out)
-    for w in d.wens:
-        union(w.w_in, w.w_out)
+    uf = pass_through(d)
     for c, sm in zip(d.classical, s.assignment):
         for e1, e2 in smoothing_pairs(c, sm):
-            union(e1, e2)
-    roots = {find(e) for e in parent}
-    return len(roots) + d.free_loops
+            uf.union(e1, e2)
+    return len(uf.roots()) + d.free_loops
 
 
 def state_value(d: Diagram, s: State, cs: CoefficientSystem,
@@ -224,86 +210,67 @@ def state_value(d: Diagram, s: State, cs: CoefficientSystem,
 # -- bracket via the histogram kernel ----------------------------------------
 
 
-def _kernel_inputs(d: Diagram):
+def _kernel_inputs(d: Diagram, boundary_edges: Sequence[str] = ()):
     """Contract virtual/wen incidences; map crossing slots to node ids.
 
-    Returns (n_nodes, crossing_nodes, signs, constant_loops) where
-    constant_loops counts circles closed in every state (components that meet
-    no classical crossing, plus free loops).
+    Returns (n_nodes, crossing_nodes, signs, constant_loops, boundary_nodes).
+    Nodes are numbered in crossing-slot order, then the boundary edges that
+    no crossing touches get theirs; ``boundary_nodes`` holds one node id per
+    boundary edge.  ``constant_loops`` counts circles closed in every state:
+    components that meet neither a classical crossing nor the boundary,
+    plus free loops.
     """
-    parent: dict[str, str] = {}
-
-    def find(e):
-        parent.setdefault(e, e)
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e1, e2):
-        r1, r2 = find(e1), find(e2)
-        if r1 != r2:
-            parent[r1] = r2
-
-    for v in d.virtual_x:
-        union(v.a_in, v.a_out)
-        union(v.b_in, v.b_out)
-    for w in d.wens:
-        union(w.w_in, w.w_out)
+    uf = pass_through(d)
     for e in d.edges():
-        find(e)
+        uf.find(e)
     node_of: dict[str, int] = {}
+
+    def node(e: str) -> int:
+        root = uf.find(e)
+        if root not in node_of:
+            node_of[root] = len(node_of)
+        return node_of[root]
+
     crossing_nodes: list[int] = []
     signs: list[int] = []
     for c in d.classical:
         signs.append(c.sign)
         for e in (c.over_in, c.over_out, c.under_in, c.under_out):
-            root = find(e)
-            if root not in node_of:
-                node_of[root] = len(node_of)
-            crossing_nodes.append(node_of[root])
-    touched = set(node_of)
-    all_roots = {find(e) for e in parent}
-    constant_loops = len(all_roots - touched) + d.free_loops
-    return len(node_of), crossing_nodes, signs, constant_loops
+            crossing_nodes.append(node(e))
+    boundary_nodes = [node(e) for e in boundary_edges]
+    constant_loops = len(uf.roots() - set(node_of)) + d.free_loops
+    return len(node_of), crossing_nodes, signs, constant_loops, boundary_nodes
 
 
-def bracket(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
-            backend: Optional[str] = None, check_wens: bool = True,
-            vs: VariableSet = FULL) -> DeltaFraction:
-    """The unnormalized state sum over all 3^n smoothing states."""
-    check_valid(d)
-    if check_wens:
-        _check_wens(d, cs)
-    n_nodes, crossing_nodes, signs, const_loops = _kernel_inputs(d)
-    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
-                                        threads=threads, backend=backend)
-    n_pos = sum(1 for s in signs if s > 0)
-    n_neg = len(signs) - n_pos
-    v_d = len(d.virtual_x)
-    wen_parity = len(d.wens) % 2
+def state_term_builder(cs: CoefficientSystem, vs: VariableSet,
+                       n_pos: int, n_neg: int):
+    """Map a state's counts to the exponents and integer coefficient of
+
+        coeff(state) * t^loops * r^parity * s^wen_parity,
+
+    for a diagram with ``n_pos`` positive and ``n_neg`` negative classical
+    crossings.  Solved families use t = -2nu and the negative triple's
+    numerators (-a, b, nu*b); the caller keeps the delta^n_neg.
+    """
     idx = {name: vs.index(name) for name in vs.names}
     nvars = len(vs)
-    terms: dict[tuple[int, ...], int] = {}
-    for (vp, ip, vn, inn, loops), count in hist.items():
+
+    def term(vp, ip, vn, inn, loops, parity, wen_parity):
         cp = n_pos - vp - ip
         cn = n_neg - vn - inn
-        total_loops = loops + const_loops
-        parity = (v_d + vp + vn) % 2
         exp = [0] * nvars
         if cs.kind == 'generic':
-            coeff = count
+            coeff = 1
             exp[idx['a']] = vp
             exp[idx['b']] = ip
             exp[idx['c']] = cp
             exp[idx['x']] = vn
             exp[idx['y']] = inn
             exp[idx['z']] = cn
-            exp[idx['t']] = total_loops
+            exp[idx['t']] = loops
         else:
-            # t = -2nu; negative triple numerators (-a, b, nu*b)
-            coeff = count * (-1) ** vn * (-2) ** total_loops
-            nu_exp = cp + cn + total_loops
+            coeff = (-1) ** vn * (-2) ** loops
+            nu_exp = cp + cn + loops
             if cs.nu is None:
                 exp[idx['nu']] = nu_exp % 2
             else:
@@ -312,20 +279,45 @@ def bracket(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
             exp[idx['b']] = ip + cp + inn + cn
         exp[idx['r']] = parity
         exp[idx['s']] = wen_parity
-        key = tuple(exp)
-        terms[key] = terms.get(key, 0) + coeff
+        return tuple(exp), coeff
+
+    return term
+
+
+def bracket(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
+            check_wens: bool = True, vs: VariableSet = FULL) -> DeltaFraction:
+    """The unnormalized state sum over all 3^n smoothing states.
+
+    ``threads`` is accepted for compatibility; evaluation is single-threaded.
+    """
+    check_valid(d)
+    if check_wens:
+        _check_wens(d, cs)
+    n_nodes, crossing_nodes, signs, const_loops, _ = _kernel_inputs(d)
+    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs)
+    n_pos = sum(1 for s in signs if s > 0)
+    n_neg = len(signs) - n_pos
+    v_d = len(d.virtual_x)
+    wen_parity = len(d.wens) % 2
+    term = state_term_builder(cs, vs, n_pos, n_neg)
+    terms: dict[tuple[int, ...], int] = {}
+    for (vp, ip, vn, inn, loops), count in hist.items():
+        exp, coeff = term(vp, ip, vn, inn, loops + const_loops,
+                          (v_d + vp + vn) % 2, wen_parity)
+        terms[exp] = terms.get(exp, 0) + count * coeff
     num = Polynomial(vs, terms)
     return DeltaFraction(num, n_neg if cs.is_solved else 0)
 
 
 def y_invariant(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
-                backend: Optional[str] = None, check_wens: bool = True,
-                vs: VariableSet = FULL) -> DeltaFraction:
-    """r^v(L) * omega^(-w(L)) * bracket(L) for a solved coefficient family."""
+                check_wens: bool = True, vs: VariableSet = FULL) -> DeltaFraction:
+    """r^v(L) * omega^(-w(L)) * bracket(L) for a solved coefficient family.
+
+    ``threads`` is accepted for compatibility; evaluation is single-threaded.
+    """
     if not cs.is_solved:
         raise ValueError('the normalized invariant needs a solved family')
-    value = bracket(d, cs, threads=threads, backend=backend,
-                    check_wens=check_wens, vs=vs)
+    value = bracket(d, cs, check_wens=check_wens, vs=vs)
     if virtual_writhe(d)[1]:
         value = value * cs.r_value(vs)
     w = writhe(d)
@@ -336,8 +328,7 @@ def y_invariant(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
     return value
 
 
-def y_lambda(d: Diagram, r: int = 1, s: int = 1, *, threads: int = 1,
-             backend: Optional[str] = None):
+def y_lambda(d: Diagram, r: int = 1, s: int = 1):
     """Y in extended mode, pushed through alpha/beta and dehomogenized.
 
     A non-homogeneous alpha/beta image would mean an evaluator bug, so the
@@ -346,8 +337,7 @@ def y_lambda(d: Diagram, r: int = 1, s: int = 1, *, threads: int = 1,
     from weldskein.algebra import to_alpha_beta
     if r not in (1, -1) or s not in (1, -1):
         raise ValueError('r and s must be specialized to +-1')
-    value = y_invariant(d, CoefficientSystem.extended(),
-                        threads=threads, backend=backend)
+    value = y_invariant(d, CoefficientSystem.extended())
     value = value.substitute({'r': r, 's': s})
     lp = to_alpha_beta(value)
     if lp.homogeneous_degree() != 0:

@@ -4,7 +4,9 @@ Each move is a pair of tangles with matching endpoint labels.  Expanding
 both sides into states grouped by induced endpoint pairing (plus closed-loop
 count and virtual parity) and either comparing per pairing or closing with
 every perfect matching of the endpoints yields polynomial constraints on the
-skein coefficients.  Verification substitutes a solved coefficient family
+skein coefficients.  The expansion runs on the same state-sum kernel as the
+closed-diagram bracket (``statesum.smoothing_histogram``), with the endpoint
+edges kept open.  Verification substitutes a solved coefficient family
 and checks that every constraint holds identically.
 
 Everything here runs with cleared denominators: generic coefficients x, y,
@@ -13,13 +15,15 @@ side of each equation by the appropriate delta power.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from weldskein import statesum
 from weldskein.algebra import FULL, DeltaFraction, Polynomial, delta
-from weldskein.diagram import Tangle, check_valid, parse_tangle_text
-from weldskein.skein import SMOOTHINGS, CoefficientSystem, smoothing_pairs
+from weldskein.diagram import (Tangle, UnionFind, check_valid,
+                               parse_tangle_text)
+from weldskein.skein import (CoefficientSystem, _kernel_inputs,
+                             state_term_builder)
 
 Pairing = frozenset            # of frozensets of endpoint labels
 
@@ -63,61 +67,31 @@ class TangleBracket:
 
 def tangle_bracket(t: Tangle, cs: CoefficientSystem = CoefficientSystem.generic(),
                    vs=FULL) -> TangleBracket:
-    """Expand a tangle into its smoothing states, grouped by pairing."""
+    """Expand a tangle into its smoothing states, grouped by pairing.
+
+    The state-sum kernel keeps the endpoint edges open and reports, per
+    coefficient shape, how each state pairs them.
+    """
     d = t.diagram
     check_valid(d, t.boundary)
     edge_of_label = {lab: e for lab, _, e in t.boundary}
     labels = tuple(sorted(edge_of_label))
-    if cs.kind == 'generic':
-        pos = [Polynomial.var(n, vs) for n in 'abc']
-        neg = [Polynomial.var(n, vs) for n in 'xyz']
-    else:
-        av, bv = Polynomial.var('a', vs), Polynomial.var('b', vs)
-        nu = cs.nu_poly(vs)
-        pos = [av, bv, nu * bv]
-        neg = [-av, bv, nu * bv]
-    neg_count = sum(1 for c in d.classical if c.sign < 0)
-    entries: dict[tuple[Pairing, int, int], Polynomial] = {}
-    n = len(d.classical)
-    for assign in itertools.product(range(3), repeat=n):
-        parent: dict[str, str] = {}
-
-        def find(e):
-            parent.setdefault(e, e)
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        def union(e1, e2):
-            r1, r2 = find(e1), find(e2)
-            if r1 != r2:
-                parent[r1] = r2
-
-        for e in d.edges():
-            find(e)
-        for v in d.virtual_x:
-            union(v.a_in, v.a_out)
-            union(v.b_in, v.b_out)
-        for w in d.wens:
-            union(w.w_in, w.w_out)
-        coeff = Polynomial.one(vs)
-        n_virtualized = 0
-        for c, k in zip(d.classical, assign):
-            for e1, e2 in smoothing_pairs(c, SMOOTHINGS[k]):
-                union(e1, e2)
-            coeff = coeff * (pos if c.sign > 0 else neg)[k]
-            if k == 0:
-                n_virtualized += 1
-        by_class: dict[str, set[str]] = {}
-        for lab, e in edge_of_label.items():
-            by_class.setdefault(find(e), set()).add(lab)
-        pairing = frozenset(frozenset(v) for v in by_class.values())
-        loop_roots = {find(e) for e in parent} - set(by_class)
-        loops = len(loop_roots) + d.free_loops
-        parity = (len(d.virtual_x) + n_virtualized) % 2
-        key = (pairing, loops, parity)
-        entries[key] = entries.get(key, Polynomial.zero(vs)) + coeff
+    n_nodes, crossing_nodes, signs, const_loops, boundary_nodes = \
+        _kernel_inputs(d, [edge_of_label[lab] for lab in labels])
+    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
+                                        boundary_nodes)
+    neg_count = sum(1 for s in signs if s < 0)
+    term = state_term_builder(cs, vs, len(signs) - neg_count, neg_count)
+    grouped: dict[tuple[Pairing, int, int], dict] = {}
+    for key, count in hist.items():
+        vp, ip, vn, inn, loops = key[:5]
+        partition = key[5] if labels else ()     # no endpoints: a closed diagram
+        pairing = frozenset(frozenset(labels[i] for i in cls) for cls in partition)
+        exp, coeff = term(vp, ip, vn, inn, 0, 0, 0)
+        terms = grouped.setdefault(
+            (pairing, loops + const_loops, (len(d.virtual_x) + vp + vn) % 2), {})
+        terms[exp] = terms.get(exp, 0) + count * coeff
+    entries = {k: Polynomial(vs, terms) for k, terms in grouped.items()}
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
     return TangleBracket(labels, entries, neg_count, len(d.wens) % 2, cs)
 
@@ -141,26 +115,14 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
     total = Polynomial.zero(vs)
     rvar = Polynomial.var('r', vs)
     for (pairing, loops, parity), coeff in tb.entries.items():
-        parent: dict[str, str] = {}
-
-        def find(e):
-            parent.setdefault(e, e)
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
+        uf = UnionFind(tb.labels)
         for group in pairing:
             group = sorted(group)
             for other in group[1:]:
-                r1, r2 = find(group[0]), find(other)
-                if r1 != r2:
-                    parent[r1] = r2
+                uf.union(group[0], other)
         for u, v in pairs:
-            r1, r2 = find(u), find(v)
-            if r1 != r2:
-                parent[r1] = r2
-        cycles = len({find(lab) for lab in tb.labels})
+            uf.union(u, v)
+        cycles = len(uf.roots())
         value = coeff * _t_power(tb.cs, loops + cycles, vs)
         if parity:
             value = value * rvar

@@ -129,6 +129,16 @@ class TestCheckInvariance:
         data = json.loads(capsys.readouterr().out)
         assert data['ok'] is True
 
+    def test_wen_circle_scrambles(self, tmp_path, capsys):
+        # T1- and V1- can leave a one-wen circle 'W a a' mid-scramble
+        path = tmp_path / 'wen3.wld'
+        path.write_text('W a b\nW b c\nW c a\n')
+        for seed in range(100):
+            assert run('check-invariance', str(path), '--trials', '1',
+                       '--moves', '15', '--size-cap', '12',
+                       '--seed', str(seed)) == 0, seed
+        capsys.readouterr()
+
     def test_corrupted_move_table_detected(self, files, capsys, monkeypatch):
         # negative control: break R2 pair insertion so it inserts two
         # same-sign crossings, then expect a reported mismatch

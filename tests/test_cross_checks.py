@@ -1,15 +1,20 @@
 """Cross-module consistency: tangle closures vs. the state-sum evaluator.
 
 Closing a move tangle with a direction-compatible endpoint pairing yields an
-honest closed diagram, whose bracket the skein kernel computes by a path
-completely independent of the verifier's grouped-state expansion.  The two
-must agree for every builtin move tangle and every realizable closure.
+honest closed diagram.  The verifier's closure of the tangle expansion must
+equal the bracket of that diagram for every builtin move tangle and every
+realizable closure.  Both run on the state-sum kernel, so each closure is
+also checked against the per-state oracle ``state_value``, summed over all
+states of the closed diagram, which shares nothing with the kernel.
 """
+import itertools
+
 import pytest
 
 from weldskein.diagram import (ClassicalCrossing, Diagram, VirtualCrossing,
                                Wen, check_valid)
-from weldskein.skein import CoefficientSystem, bracket
+from weldskein.algebra import DeltaFraction
+from weldskein.skein import CoefficientSystem, State, bracket, state_value
 from weldskein.verifier import (builtin_moves, close, perfect_matchings,
                                 tangle_bracket, _parse_tangle)
 
@@ -74,7 +79,13 @@ def test_closure_values_match_bracket(name, side):
         if closed is None:
             continue
         realizable += 1
-        assert bracket(closed, GENERIC) == close(tb, pairs), (name, side, pairs)
+        closed_value = close(tb, pairs)
+        assert bracket(closed, GENERIC) == closed_value, (name, side, pairs)
+        oracle = DeltaFraction.from_int(0)
+        for digits in itertools.product(range(3), repeat=len(closed.classical)):
+            oracle = oracle + state_value(closed, State.from_digits(digits),
+                                          GENERIC)
+        assert oracle == closed_value, (name, side, pairs)
     assert realizable >= 1
 
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from weldskein.diagram import (ClassicalCrossing, Diagram, DiagramError,
-                               ParseError, VirtualCrossing, Wen, components,
+from weldskein.diagram import (ClassicalCrossing, Diagram, ParseError,
+                               VirtualCrossing, Wen, components,
                                disjoint_union, parse, parse_tangle,
                                serialize, validate, virtual_writhe,
                                wen_count, writhe)
@@ -27,9 +27,9 @@ class TestValidate:
         assert any('2 times as source' in p for p in problems)
         assert any("'a'" in p or "'b'" in p for p in problems)
 
-    def test_wen_needs_distinct_edges(self):
-        with pytest.raises(DiagramError):
-            Wen('e', 'e')
+    def test_one_wen_circle_is_valid(self):
+        # 'e' is once a source and once a target: the circle T1- and V1- leave
+        assert validate(Diagram(wens=(Wen('e', 'e'),))) == []
 
     def test_tangle_boundary_counts(self):
         d = Diagram()
@@ -102,9 +102,14 @@ class TestParsing:
     def test_loop(self):
         assert parse('loop\n').free_loops == 1
 
-    def test_wen_same_edge_is_error(self):
-        with pytest.raises(ParseError):
-            parse('W 1 1\n')
+    def test_one_wen_circle_roundtrips(self):
+        from weldskein.skein import CoefficientSystem, y_invariant
+        d = parse('W a a\n')
+        assert parse(serialize(d)) == d
+        ext = CoefficientSystem.extended()
+        three = parse('W a b\nW b c\nW c a\n')
+        assert y_invariant(d, ext) == y_invariant(three, ext)
+        assert y_invariant(d, ext).render() == '-2*s'
 
     def test_unknown_keyword_carries_position(self):
         with pytest.raises(ParseError) as exc:
