@@ -12,12 +12,17 @@ modulo 2.
 A change of variables alpha = b + a, beta = b - a turns a delta-power
 fraction into a Laurent polynomial with dyadic rational coefficients; see
 :func:`to_alpha_beta` and :meth:`LaurentPoly.dehomogenize`.
+
+Both rings share one sparse core, :class:`_SparsePoly`, with arithmetic,
+equality, hashing and rendering; :class:`Polynomial` and :class:`LaurentPoly`
+add only their validating constructors and their own queries.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction as QQ
+from operator import add, xor
 from typing import Mapping, Optional, Union
 
 ORDINARY_NAMES = ('a', 'b', 'c', 'x', 'y', 'z', 't')
@@ -72,12 +77,113 @@ class VariableSet:
 FULL = VariableSet(ORDINARY_NAMES, INVOLUTIVE_NAMES)
 
 
-def _check_same_vs(p: 'Polynomial', q: 'Polynomial') -> None:
-    if p.vs != q.vs:
-        raise VariableMismatchError(f'variable sets differ: {p.vs} vs {q.vs}')
+class _SparsePoly:
+    """Sparse map from exponent vectors to nonzero coefficients.
+
+    ``vs`` is the symbol space: a :class:`VariableSet`, or the tuple of
+    Laurent variable names.  Values combine only when class and space agree.
+    ``_layout()`` gives the number of ordinary exponent slots, which add under
+    multiplication (the involutive ones after them add modulo 2), and the
+    names of all slots.
+    """
+
+    __slots__ = ('vs', '_terms', '_hash')
+
+    _SCALARS: tuple[type, ...] = (int,)
+
+    def _operand(self, other):
+        """``other`` as a value of this ring, or None if it is not one."""
+        if isinstance(other, self._SCALARS):
+            return self.const(other, self.vs)
+        if not isinstance(other, _SparsePoly):
+            return None
+        if type(other) is not type(self) or other.vs != self.vs:
+            raise VariableMismatchError(f'symbol spaces differ: {self.vs} vs {other.vs}')
+        return other
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> dict:
+        """Copy of the term map (exponent vector -> coefficient)."""
+        return dict(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, self._SCALARS):
+            other = self.const(other, self.vs)
+        if not isinstance(other, _SparsePoly):
+            return NotImplemented
+        return (type(other) is type(self) and self.vs == other.vs
+                and self._terms == other._terms)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.vs, frozenset(self._terms.items())))
+        return self._hash
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self._terms)
+        for exp, c in other._terms.items():
+            terms[exp] = terms.get(exp, 0) + c
+        return type(self)(self.vs, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.vs, {e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return type(self)(self.vs, {e: c * other for e, c in self._terms.items()})
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        n = self._layout()[0]
+        terms: dict = {}
+        for e1, c1 in self._terms.items():
+            o1, i1 = e1[:n], e1[n:]
+            for e2, c2 in other._terms.items():
+                exp = tuple(map(add, o1, e2[:n])) + tuple(map(xor, i1, e2[n:]))
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return type(self)(self.vs, terms)
+
+    __rmul__ = __mul__
+
+    def render(self) -> str:
+        """Canonical text form: sorted monomials, explicit ^ and *."""
+        if not self._terms:
+            return '0'
+        names = self._layout()[1]
+        parts = []
+        for exp in sorted(self._terms, reverse=True):
+            coeff = self._terms[exp]
+            factors = [name if e == 1 else f'{name}^{e}'
+                       for name, e in zip(names, exp) if e]
+            mag = abs(coeff)
+            head = [] if mag == 1 and factors else [str(mag)]
+            parts.append(('- ' if coeff < 0 else '+ ') + '*'.join(head + factors))
+        text = ' '.join(parts)
+        return text[2:] if text.startswith('+ ') else '-' + text[2:]
+
+    __str__ = render
+
+    def __repr__(self):
+        return f'{type(self).__name__}({self.render()})'
 
 
-class Polynomial:
+class Polynomial(_SparsePoly):
     """Multivariate polynomial with integer coefficients.
 
     Terms are stored as a map from exponent vectors (one slot per symbol of
@@ -85,7 +191,7 @@ class Polynomial:
     arbitrary-precision integers.
     """
 
-    __slots__ = ('vs', '_terms', '_hash')
+    __slots__ = ()
 
     def __init__(self, vs: VariableSet, terms: Mapping[tuple[int, ...], int]):
         self.vs = vs
@@ -103,6 +209,9 @@ class Polynomial:
             clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+
+    def _layout(self) -> tuple[int, tuple[str, ...]]:
+        return len(self.vs.ordinary), self.vs.names
 
     # -- constructors ------------------------------------------------------
 
@@ -131,65 +240,6 @@ class Polynomial:
             exp[vs.index(name)] = e
         return cls(vs, {tuple(exp): coeff})
 
-    # -- ring structure ----------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Polynomial.const(other, self.vs)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.vs == other.vs and self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.vs, frozenset(self._terms.items())))
-        return self._hash
-
-    def __add__(self, other) -> 'Polynomial':
-        if isinstance(other, int):
-            other = Polynomial.const(other, self.vs)
-        _check_same_vs(self, other)
-        terms = dict(self._terms)
-        for exp, c in other._terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return Polynomial(self.vs, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> 'Polynomial':
-        return Polynomial(self.vs, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> 'Polynomial':
-        if isinstance(other, int):
-            other = Polynomial.const(other, self.vs)
-        return self + (-other)
-
-    def __rsub__(self, other) -> 'Polynomial':
-        return (-self) + other
-
-    def __mul__(self, other) -> 'Polynomial':
-        if isinstance(other, int):
-            return Polynomial(self.vs, {e: c * other for e, c in self._terms.items()})
-        _check_same_vs(self, other)
-        n_ord = len(self.vs.ordinary)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(
-                    (u + v) if i < n_ord else (u + v) % 2
-                    for i, (u, v) in enumerate(zip(e1, e2))
-                )
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return Polynomial(self.vs, terms)
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> 'Polynomial':
         if n < 0:
             raise ValueError('negative polynomial power')
@@ -203,15 +253,6 @@ class Polynomial:
         return result
 
     # -- structure queries --------------------------------------------------
-
-    def terms(self) -> dict[tuple[int, ...], int]:
-        """Copy of the term map (exponent vector -> coefficient)."""
-        return dict(self._terms)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of ``name``; -1 for the zero polynomial."""
-        i = self.vs.index(name)
-        return max((e[i] for e in self._terms), default=-1)
 
     def uses(self, name: str) -> bool:
         i = self.vs.index(name)
@@ -268,36 +309,6 @@ class Polynomial:
                     rest[i] = e
             out = out + factor * Polynomial(vs, {tuple(rest): 1})
         return out
-
-    # -- rendering -----------------------------------------------------------
-
-    def render(self) -> str:
-        """Canonical text form: sorted monomials, explicit ^ and *."""
-        if not self._terms:
-            return '0'
-        parts = []
-        for exp in sorted(self._terms, reverse=True):
-            coeff = self._terms[exp]
-            factors = []
-            for name, e in zip(self.vs.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f'{name}^{e}')
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = '*'.join(factors)
-            else:
-                body = '*'.join([str(abs(coeff))] + factors)
-            parts.append(('- ' if coeff < 0 else '+ ') + body)
-        text = ' '.join(parts)
-        return text[2:] if text.startswith('+ ') else '-' + text[2:]
-
-    __str__ = render
-
-    def __repr__(self):
-        return f'Polynomial({self.render()})'
 
 
 def delta(vs: VariableSet = FULL) -> Polynomial:
@@ -375,12 +386,17 @@ class DeltaFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __eq__(self, other) -> bool:
+    def _lift(self, other) -> Optional['DeltaFraction']:
+        """An int, Polynomial or DeltaFraction operand as a fraction."""
         if isinstance(other, int):
-            other = DeltaFraction.from_int(other, self.vs)
-        elif isinstance(other, Polynomial):
-            other = DeltaFraction(other)
-        if not isinstance(other, DeltaFraction):
+            return DeltaFraction.from_int(other, self.vs)
+        if isinstance(other, Polynomial):
+            return DeltaFraction(other)
+        return other if isinstance(other, DeltaFraction) else None
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.delta_power == other.delta_power
 
@@ -388,10 +404,9 @@ class DeltaFraction:
         return hash((self.num, self.delta_power))
 
     def __add__(self, other) -> 'DeltaFraction':
-        if isinstance(other, (int, Polynomial)):
-            other = DeltaFraction(other if isinstance(other, Polynomial)
-                                  else Polynomial.const(other, self.vs))
-        _check_same_vs(self.num, other.num)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         k = max(self.delta_power, other.delta_power)
         d = delta(self.vs)
         num = (self.num * d ** (k - self.delta_power)
@@ -404,17 +419,12 @@ class DeltaFraction:
         return DeltaFraction(-self.num, self.delta_power)
 
     def __sub__(self, other) -> 'DeltaFraction':
-        if isinstance(other, (int, Polynomial)):
-            other = DeltaFraction(other if isinstance(other, Polynomial)
-                                  else Polynomial.const(other, self.vs))
         return self + (-other)
 
     def __mul__(self, other) -> 'DeltaFraction':
-        if isinstance(other, int):
-            return DeltaFraction(self.num * other, self.delta_power)
-        if isinstance(other, Polynomial):
-            other = DeltaFraction(other)
-        _check_same_vs(self.num, other.num)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         return DeltaFraction(self.num * other.num,
                              self.delta_power + other.delta_power)
 
@@ -445,7 +455,7 @@ class DeltaFraction:
         if self.delta_power == 0:
             return num
         denom = '(b^2 - a^2)' if self.delta_power == 1 else f'(b^2 - a^2)^{self.delta_power}'
-        if self.num._terms and len(self.num._terms) > 1:
+        if len(self.num._terms) > 1:
             num = f'({num})'
         return f'{num} / {denom}'
 
@@ -462,21 +472,23 @@ Fraction = DeltaFraction
 # -- alpha/beta Laurent polynomials -----------------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(_SparsePoly):
     """Laurent polynomial with rational coefficients.
 
     Ordinary variables take arbitrary integer exponents; the involutive
-    variables r and s tag along with exponents 0/1.
+    variables r and s tag along with exponents 0/1.  ``vs`` is the tuple of
+    ordinary variable names.
     """
 
-    __slots__ = ('variables', '_terms', '_hash')
+    __slots__ = ()
 
     INVOLUTIVE = ('r', 's')
+    _SCALARS = (int, QQ)
 
     def __init__(self, variables: tuple[str, ...],
                  terms: Mapping[tuple[int, ...], QQ]):
-        self.variables = tuple(variables)
-        nvars = len(self.variables) + 2
+        self.vs = tuple(variables)
+        nvars = len(self.vs) + 2
         clean: dict[tuple[int, ...], QQ] = {}
         for exp, coeff in terms.items():
             coeff = QQ(coeff)
@@ -484,11 +496,14 @@ class LaurentPoly:
                 continue
             if len(exp) != nvars:
                 raise ValueError('exponent vector has wrong length')
-            if any(e not in (0, 1) for e in exp[len(self.variables):]):
+            if any(e not in (0, 1) for e in exp[len(self.vs):]):
                 raise ValueError('involutive exponent above 1')
             clean[tuple(exp)] = clean.get(tuple(exp), QQ(0)) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+
+    def _layout(self) -> tuple[int, tuple[str, ...]]:
+        return len(self.vs), self.vs + self.INVOLUTIVE
 
     @classmethod
     def zero(cls, variables=('alpha', 'beta')) -> 'LaurentPoly':
@@ -498,64 +513,9 @@ class LaurentPoly:
     def const(cls, value, variables=('alpha', 'beta')) -> 'LaurentPoly':
         return cls(variables, {(0,) * (len(variables) + 2): QQ(value)})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[tuple[int, ...], QQ]:
-        return dict(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other, self.variables)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self._terms.items())))
-        return self._hash
-
-    def __add__(self, other) -> 'LaurentPoly':
-        if isinstance(other, int):
-            other = LaurentPoly.const(other, self.variables)
-        if self.variables != other.variables:
-            raise VariableMismatchError('Laurent variable sets differ')
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, QQ(0)) + c
-        return LaurentPoly(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.variables, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other, self.variables)
-        return self + (-other)
-
-    def __mul__(self, other) -> 'LaurentPoly':
-        if isinstance(other, (int, QQ)):
-            return LaurentPoly(self.variables,
-                               {e: c * other for e, c in self._terms.items()})
-        if self.variables != other.variables:
-            raise VariableMismatchError('Laurent variable sets differ')
-        k = len(self.variables)
-        terms: dict[tuple[int, ...], QQ] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple((u + v) if i < k else (u + v) % 2
-                            for i, (u, v) in enumerate(zip(e1, e2)))
-                terms[exp] = terms.get(exp, QQ(0)) + c1 * c2
-        return LaurentPoly(self.variables, terms)
-
-    __rmul__ = __mul__
-
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree in the ordinary variables, or None."""
-        k = len(self.variables)
+        k = len(self.vs)
         degs = {sum(e[:k]) for e in self._terms}
         if not degs:
             return 0
@@ -563,7 +523,7 @@ class LaurentPoly:
 
     def dehomogenize(self) -> 'LaurentPoly':
         """Substitute beta := 1 (lambda := alpha/beta); needs degree 0."""
-        if self.variables != ('alpha', 'beta'):
+        if self.vs != ('alpha', 'beta'):
             raise ValueError('dehomogenize expects an alpha/beta Laurent polynomial')
         if self.homogeneous_degree() != 0:
             raise ValueError('not homogeneous of degree 0')
@@ -572,35 +532,6 @@ class LaurentPoly:
             key = (ea, er, es)
             terms[key] = terms.get(key, QQ(0)) + c
         return LaurentPoly(('lambda',), terms)
-
-    def render(self) -> str:
-        if not self._terms:
-            return '0'
-        names = self.variables + self.INVOLUTIVE
-        parts = []
-        for exp in sorted(self._terms, reverse=True):
-            coeff = self._terms[exp]
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f'{name}^{e}')
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = '*'.join(factors)
-            else:
-                body = '*'.join([str(mag)] + factors)
-            parts.append(('- ' if coeff < 0 else '+ ') + body)
-        text = ' '.join(parts)
-        return text[2:] if text.startswith('+ ') else '-' + text[2:]
-
-    __str__ = render
-
-    def __repr__(self):
-        return f'LaurentPoly({self.render()})'
 
 
 def to_alpha_beta(f: DeltaFraction) -> LaurentPoly:

@@ -7,6 +7,7 @@ All output is bit-stable for fixed inputs, flags and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -219,7 +220,9 @@ def cmd_verify_moves(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog='weldskein',
         description='Skein invariants of welded and extended welded links.')

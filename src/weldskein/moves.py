@@ -578,9 +578,13 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
     """Apply ``n_moves`` random applicable moves; equivalent by construction.
 
     Below the size cap, insertions are drawn 60% of the time; above it,
-    removals 80% of the time, to keep state-sum cost bounded.  Reproducible
-    for a fixed seed.  ``wen_moves=False`` keeps to the wen-free move set,
-    which is what the nu != 1 welded families are invariant under.
+    removals 80% of the time, to keep state-sum cost bounded.  The cap is
+    soft: above it no insertion is drawn (the walk ends early when no removal
+    or slide applies), and one insertion adds at most two vertices, so the
+    walk never grows past ``max(d.size(), size_cap) + 2`` vertices.
+    Reproducible for a fixed seed.  ``wen_moves=False`` keeps to the
+    wen-free move set, which is what the nu != 1 welded families are
+    invariant under.
     """
     rng = random.Random(seed)
 
@@ -595,10 +599,11 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
         if current.size() <= size_cap:
             groups = ([allowed(INSERTION_KINDS)] if roll < 0.6
                       else [allowed(REMOVAL_KINDS + SLIDE_KINDS)])
+            groups.append(allowed(INSERTION_KINDS + REMOVAL_KINDS + SLIDE_KINDS))
         else:
             groups = ([allowed(REMOVAL_KINDS)] if roll < 0.8
                       else [allowed(SLIDE_KINDS)])
-        groups.append(allowed(INSERTION_KINDS + REMOVAL_KINDS + SLIDE_KINDS))
+            groups.append(allowed(REMOVAL_KINDS + SLIDE_KINDS))
         applied = False
         for group in groups:
             kinds = [k for k in group if enumerate_sites(current, k)]
@@ -610,6 +615,6 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
             current = _apply_unchecked(current, site)
             applied = True
             break
-        if not applied:        # pragma: no cover - insertions always apply
+        if not applied:        # above the cap with no removal or slide
             break
     return current

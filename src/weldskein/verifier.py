@@ -62,15 +62,14 @@ class TangleBracket:
     entries: dict[tuple[Pairing, int, int], Polynomial]
     neg_count: int
     wen_parity: int
-    cs: CoefficientSystem
 
 
-def tangle_bracket(t: Tangle, cs: CoefficientSystem = CoefficientSystem.generic(),
-                   vs=FULL) -> TangleBracket:
+def tangle_bracket(t: Tangle, vs=FULL) -> TangleBracket:
     """Expand a tangle into its smoothing states, grouped by pairing.
 
     The state-sum kernel keeps the endpoint edges open and reports, per
-    coefficient shape, how each state pairs them.
+    coefficient shape, how each state pairs them.  Coefficients are the
+    generic symbols; a solved family enters later, by substitution.
     """
     d = t.diagram
     check_valid(d, t.boundary)
@@ -81,7 +80,8 @@ def tangle_bracket(t: Tangle, cs: CoefficientSystem = CoefficientSystem.generic(
     hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
                                         boundary_nodes)
     neg_count = sum(1 for s in signs if s < 0)
-    term = state_term_builder(cs, vs, len(signs) - neg_count, neg_count)
+    term = state_term_builder(CoefficientSystem.generic(), vs,
+                              len(signs) - neg_count, neg_count)
     grouped: dict[tuple[Pairing, int, int], dict] = {}
     for key, count in hist.items():
         vp, ip, vn, inn, loops = key[:5]
@@ -93,13 +93,7 @@ def tangle_bracket(t: Tangle, cs: CoefficientSystem = CoefficientSystem.generic(
         terms[exp] = terms.get(exp, 0) + count * coeff
     entries = {k: Polynomial(vs, terms) for k, terms in grouped.items()}
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
-    return TangleBracket(labels, entries, neg_count, len(d.wens) % 2, cs)
-
-
-def _t_power(cs: CoefficientSystem, k: int, vs=FULL) -> Polynomial:
-    if cs.kind == 'generic':
-        return Polynomial.var('t', vs) ** k
-    return (cs.nu_poly(vs) * -2) ** k
+    return TangleBracket(labels, entries, neg_count, len(d.wens) % 2)
 
 
 def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynomial:
@@ -113,6 +107,7 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
     if sorted(flat) != sorted(tb.labels) or any(len(p) != 2 for p in pairs):
         raise ValueError('closure must be a perfect matching of the endpoints')
     total = Polynomial.zero(vs)
+    tvar = Polynomial.var('t', vs)
     rvar = Polynomial.var('r', vs)
     for (pairing, loops, parity), coeff in tb.entries.items():
         uf = UnionFind(tb.labels)
@@ -123,7 +118,7 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
         for u, v in pairs:
             uf.union(u, v)
         cycles = len(uf.roots())
-        value = coeff * _t_power(tb.cs, loops + cycles, vs)
+        value = coeff * tvar ** (loops + cycles)
         if parity:
             value = value * rvar
         total = total + value
@@ -135,9 +130,10 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
 def _pairing_values(tb: TangleBracket, vs=FULL) -> dict[Pairing, Polynomial]:
     """Fold loops and parity into t/r powers, grouped by pairing."""
     out: dict[Pairing, Polynomial] = {}
+    tvar = Polynomial.var('t', vs)
     rvar = Polynomial.var('r', vs)
     for (pairing, loops, parity), coeff in tb.entries.items():
-        value = coeff * _t_power(tb.cs, loops, vs)
+        value = coeff * tvar ** loops
         if parity:
             value = value * rvar
         if tb.wen_parity:
@@ -157,8 +153,6 @@ def normalize_equation(p: Polynomial) -> Polynomial:
     content = p.content_and_sign()
     exps = list(terms)
     common = [min(e[i] for e in exps) for i in range(len(p.vs))]
-    n_ord = len(p.vs.ordinary)
-    # involutive symbols are units; clear them whenever every term carries one
     new_terms = {}
     for e, c in terms.items():
         ne = tuple(ei - common[i] for i, ei in enumerate(e))
@@ -212,20 +206,6 @@ class Constraint:
         else:
             lhs = lhs * omega ** (-self.dw)
         return lhs - rhs
-
-    def sides_under(self, family: CoefficientSystem, vs=FULL) -> tuple[Polynomial, Polynomial]:
-        """The two cleared sides after substituting the family."""
-        subst = solved_substitution(family, vs)
-        lhs = self.lhs.substitute(subst) * delta(vs) ** self.neg_r
-        rhs = self.rhs.substitute(subst) * delta(vs) ** self.neg_l
-        if self.dv % 2:
-            rhs = rhs * Polynomial.var('r', vs)
-        omega = family.omega(vs)
-        if self.dw >= 0:
-            rhs = rhs * omega ** self.dw
-        else:
-            lhs = lhs * omega ** (-self.dw)
-        return lhs, rhs
 
 
 def solved_substitution(family: CoefficientSystem, vs=FULL) -> dict[str, Polynomial]:
@@ -360,15 +340,14 @@ def _parse_tangle(text: str) -> Tangle:
 
 
 def move_constraints(lhs: Tangle, rhs: Tangle,
-                     cs: CoefficientSystem = CoefficientSystem.generic(),
                      *, method: str = 'closure', move: str = '?',
                      dw: int = 0, dv: int = 0) -> ConstraintSet:
     """One constraint per closure pairing (or per state pairing).
 
     Both tangles must carry the same endpoint labels.
     """
-    ltb = tangle_bracket(lhs, cs)
-    rtb = tangle_bracket(rhs, cs)
+    ltb = tangle_bracket(lhs)
+    rtb = tangle_bracket(rhs)
     if ltb.labels != rtb.labels:
         raise ValueError('endpoint labels differ between the sides')
     constraints = []
@@ -394,11 +373,10 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
     return ConstraintSet(move, n_closures, constraints)
 
 
-def constraints_for(move_name: str,
-                    cs: CoefficientSystem = CoefficientSystem.generic()) -> ConstraintSet:
+def constraints_for(move_name: str) -> ConstraintSet:
     schema = builtin_moves()[move_name]
     return move_constraints(_parse_tangle(schema.lhs), _parse_tangle(schema.rhs),
-                            cs, method=schema.method, move=schema.name,
+                            method=schema.method, move=schema.name,
                             dw=schema.dw, dv=schema.dv)
 
 

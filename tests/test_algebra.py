@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as QQ
 
 import pytest
@@ -178,6 +179,42 @@ class TestAlphaBeta:
         assert lp.homogeneous_degree() == 2
         with pytest.raises(ValueError):
             lp.dehomogenize()
+
+
+class TestSharedCore:
+    """Polynomial and LaurentPoly share one arithmetic and rendering core."""
+
+    def test_laurent_render_negative_and_fractional(self):
+        lp = LaurentPoly(('alpha', 'beta'), {(-1, -1, 0, 0): QQ(1, 2)})
+        assert lp.render() == '1/2*alpha^-1*beta^-1'
+
+    def test_laurent_render_involutive_tags(self):
+        lp = LaurentPoly(('lambda',), {(2, 1, 0): QQ(-3), (0, 0, 1): QQ(1, 4),
+                                       (-1, 1, 1): QQ(-5, 2), (-2, 0, 0): 1})
+        assert lp.render() == '-3*lambda^2*r + 1/4*s - 5/2*lambda^-1*r*s + lambda^-2'
+        assert repr(LaurentPoly.const(QQ(-7, 3))) == 'LaurentPoly(-7/3)'
+
+    def test_laurent_involutive_tags_multiply_mod_two(self):
+        rl = LaurentPoly(('lambda',), {(1, 1, 0): 1})
+        assert rl * rl == LaurentPoly(('lambda',), {(2, 0, 0): 1})
+
+    @pytest.mark.parametrize('op', [operator.add, operator.mul, operator.sub],
+                             ids=['add', 'mul', 'sub'])
+    def test_polynomial_and_laurent_do_not_mix(self, op):
+        p, lp = Polynomial.one(), LaurentPoly.const(1)
+        with pytest.raises(VariableMismatchError):
+            op(p, lp)
+        with pytest.raises(VariableMismatchError):
+            op(lp, p)
+
+    def test_polynomial_and_laurent_compare_unequal(self):
+        p, lp = Polynomial.one(), LaurentPoly.const(1)
+        assert p != lp and lp != p
+        assert p == 1 and lp == 1
+
+    def test_laurent_spaces_do_not_mix(self):
+        with pytest.raises(VariableMismatchError):
+            LaurentPoly.const(1) + LaurentPoly.const(1, ('lambda',))
 
 
 # -- property tests -------------------------------------------------------------

@@ -72,7 +72,7 @@ def close_tangle_to_diagram(tangle, pairs):
 def test_closure_values_match_bracket(name, side):
     schema = builtin_moves()[name]
     tangle = _parse_tangle(getattr(schema, side))
-    tb = tangle_bracket(tangle, GENERIC)
+    tb = tangle_bracket(tangle)
     realizable = 0
     for pairs in perfect_matchings(tb.labels):
         closed = close_tangle_to_diagram(tangle, pairs)

@@ -215,6 +215,17 @@ class TestScramble:
         big = scramble(d, seed=7, n_moves=120, size_cap=6)
         assert big.size() <= 24   # soft cap keeps growth bounded
 
+    def test_size_cap_bounds_growth(self):
+        # seed 370 on hopf_pos reaches the fallback group above the cap
+        assert scramble(parse(CORPUS_TEXT['hopf_pos']), seed=370, n_moves=15,
+                        size_cap=6).size() <= 8
+        for name, text in CORPUS_TEXT.items():
+            d = parse(text)
+            bound = max(d.size(), 6) + 2
+            for seed in range(200):
+                s = scramble(d, seed=seed, n_moves=15, size_cap=6)
+                assert s.size() <= bound, (name, seed, s.size())
+
     def test_wen_free_walk_stays_wen_free(self):
         d = parse(CORPUS_TEXT['hopf_pos'])
         for seed in range(10):

@@ -42,7 +42,7 @@ class TestEnumeration:
 class TestTangleBracket:
     def test_single_strand(self):
         t = parse_tangle('end 1 in q\nend 2 out q\n')
-        tb = tangle_bracket(t, GENERIC)
+        tb = tangle_bracket(t)
         key = (frozenset({frozenset({'1', '2'})}), 0, 0)
         assert set(tb.entries) == {key}
         assert tb.entries[key] == Polynomial.one()
@@ -50,7 +50,7 @@ class TestTangleBracket:
     def test_single_positive_crossing(self):
         t = parse_tangle('X+ p1 p3 p2 p4\n'
                          'end 1 in p1\nend 2 in p2\nend 3 out p3\nend 4 out p4\n')
-        tb = tangle_bracket(t, GENERIC)
+        tb = tangle_bracket(t)
         by_pairing = {}
         for (pairing, loops, parity), coeff in tb.entries.items():
             assert loops == 0
@@ -64,7 +64,7 @@ class TestTangleBracket:
     def test_r2_composite_coefficients(self):
         schema = builtin_moves()['r2']
         from weldskein.verifier import _parse_tangle, _pairing_values
-        vals = _pairing_values(tangle_bracket(_parse_tangle(schema.lhs), GENERIC))
+        vals = _pairing_values(tangle_bracket(_parse_tangle(schema.lhs)))
         tagged = {pairing_tag(k): v for k, v in vals.items()}
         assert same_up_to_unit(tagged['13:24'], poly('a*x + b*y'))
         assert same_up_to_unit(tagged['14:23'], poly('a*y + b*x'))
@@ -73,12 +73,12 @@ class TestTangleBracket:
 
     def test_close_single_strand_gives_loop(self):
         t = parse_tangle('end 1 in q\nend 2 out q\n')
-        tb = tangle_bracket(t, GENERIC)
+        tb = tangle_bracket(t)
         assert close(tb, [('1', '2')]) == poly('t')
 
     def test_close_needs_perfect_matching(self):
         t = parse_tangle('end 1 in q\nend 2 out q\n')
-        tb = tangle_bracket(t, GENERIC)
+        tb = tangle_bracket(t)
         with pytest.raises(ValueError):
             close(tb, [('1', '1')])
 
