@@ -1,7 +1,6 @@
 """Skein-relation invariants of welded and extended welded links."""
 
-from weldskein.algebra import (FULL, DeltaFraction, Fraction, LaurentPoly,
-                               Polynomial, VariableSet, delta,
+from weldskein.algebra import (DeltaFraction, LaurentPoly, Polynomial, delta,
                                divide_by_delta, parse_fraction,
                                parse_polynomial, to_alpha_beta)
 from weldskein.diagram import (ClassicalCrossing, Diagram, Tangle,

@@ -1,13 +1,14 @@
 """Exact arithmetic for the skein coefficient ring.
 
-Values live in Z[a,b,c,x,y,z,t][r,nu,s] with r^2 = nu^2 = s^2 = 1, extended
-by denominators that are powers of delta = b^2 - a^2.  All arithmetic is
-exact; polynomials are kept in canonical form (no zero coefficients), so
-structural equality coincides with mathematical equality.
+Values live in the one fixed ring Z[a,b,c,x,y,z,t][r,nu,s] with
+r^2 = nu^2 = s^2 = 1, extended by denominators that are powers of
+delta = b^2 - a^2.  All arithmetic is exact; polynomials are kept in
+canonical form (no zero coefficients), so structural equality coincides with
+mathematical equality, and a constant hashes like the integer it equals.
 
-The ordinary symbols carry natural-number exponents, the involutive symbols
-(r, nu, s) only exponent 0 or 1; multiplication reduces involutive exponents
-modulo 2.
+An exponent vector has one slot per name in ``NAMES``: the ordinary symbols
+carry natural-number exponents, the involutive symbols (r, nu, s) only
+exponent 0 or 1; multiplication reduces involutive exponents modulo 2.
 
 A change of variables alpha = b + a, beta = b - a turns a delta-power
 fraction into a Laurent polynomial with dyadic rational coefficients; see
@@ -20,85 +21,51 @@ add only their validating constructors and their own queries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from operator import add, xor
 from typing import Mapping, Optional, Union
 
 ORDINARY_NAMES = ('a', 'b', 'c', 'x', 'y', 'z', 't')
 INVOLUTIVE_NAMES = ('r', 'nu', 's')
+#: The exponent-vector slots of a :class:`Polynomial`, in order.
+NAMES = ORDINARY_NAMES + INVOLUTIVE_NAMES
+_N_ORD, _WIDTH = len(ORDINARY_NAMES), len(NAMES)
+_LAYOUT = (_N_ORD, NAMES)
 
 
 class VariableMismatchError(ValueError):
-    """Raised when combining values over different variable sets."""
+    """Raised when combining values of different rings or symbol spaces."""
 
 
 class SubstitutionError(ValueError):
     """Raised for substitutions that leave the representable ring."""
 
 
-@dataclass(frozen=True)
-class VariableSet:
-    """Ordered ordinary and involutive symbol names.
-
-    Ordinary symbols come from {a,b,c,x,y,z,t} and take natural-number
-    exponents; involutive symbols come from {r,nu,s} and square to one.
-    """
-
-    ordinary: tuple[str, ...]
-    involutive: tuple[str, ...]
-
-    def __post_init__(self):
-        names = self.ordinary + self.involutive
-        if len(set(names)) != len(names):
-            raise ValueError(f'duplicate symbol names in {names}')
-        for n in self.ordinary:
-            if n not in ORDINARY_NAMES:
-                raise ValueError(f'unknown ordinary symbol {n!r}')
-        for n in self.involutive:
-            if n not in INVOLUTIVE_NAMES:
-                raise ValueError(f'unknown involutive symbol {n!r}')
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.ordinary + self.involutive
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    def is_involutive(self, name: str) -> bool:
-        return name in self.involutive
-
-    def __len__(self) -> int:
-        return len(self.ordinary) + len(self.involutive)
-
-
-#: Variable set used throughout the evaluator and verifier.
-FULL = VariableSet(ORDINARY_NAMES, INVOLUTIVE_NAMES)
-
-
 class _SparsePoly:
     """Sparse map from exponent vectors to nonzero coefficients.
 
-    ``vs`` is the symbol space: a :class:`VariableSet`, or the tuple of
-    Laurent variable names.  Values combine only when class and space agree.
-    ``_layout()`` gives the number of ordinary exponent slots, which add under
+    Subclasses supply ``_new(terms)``, a value of the same ring and space,
+    and ``_layout()``: the number of ordinary exponent slots, which add under
     multiplication (the involutive ones after them add modulo 2), and the
-    names of all slots.
+    names of all slots.  Values combine only when class and layout agree.
     """
 
-    __slots__ = ('vs', '_terms', '_hash')
+    __slots__ = ('_terms', '_hash')
 
     _SCALARS: tuple[type, ...] = (int,)
+
+    def _scalar(self, value):
+        return self._new({(0,) * len(self._layout()[1]): value})
 
     def _operand(self, other):
         """``other`` as a value of this ring, or None if it is not one."""
         if isinstance(other, self._SCALARS):
-            return self.const(other, self.vs)
+            return self._scalar(other)
         if not isinstance(other, _SparsePoly):
             return None
-        if type(other) is not type(self) or other.vs != self.vs:
-            raise VariableMismatchError(f'symbol spaces differ: {self.vs} vs {other.vs}')
+        if type(other) is not type(self) or other._layout() != self._layout():
+            raise VariableMismatchError(
+                f'symbol spaces differ: {self._layout()[1]} and {other._layout()[1]}')
         return other
 
     def __bool__(self) -> bool:
@@ -113,15 +80,20 @@ class _SparsePoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, self._SCALARS):
-            other = self.const(other, self.vs)
+            other = self._scalar(other)
         if not isinstance(other, _SparsePoly):
             return NotImplemented
-        return (type(other) is type(self) and self.vs == other.vs
+        return (type(other) is type(self) and self._layout() == other._layout()
                 and self._terms == other._terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vs, frozenset(self._terms.items())))
+            terms = self._terms
+            if len(terms) <= 1 and not any(next(iter(terms), ())):
+                # a constant, zero included: hash like the number it equals
+                self._hash = hash(next(iter(terms.values()), 0))
+            else:
+                self._hash = hash((self._layout(), frozenset(terms.items())))
         return self._hash
 
     def __add__(self, other):
@@ -131,12 +103,12 @@ class _SparsePoly:
         terms = dict(self._terms)
         for exp, c in other._terms.items():
             terms[exp] = terms.get(exp, 0) + c
-        return type(self)(self.vs, terms)
+        return self._new(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.vs, {e: -c for e, c in self._terms.items()})
+        return self._new({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,7 +118,7 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
-            return type(self)(self.vs, {e: c * other for e, c in self._terms.items()})
+            return self._new({e: c * other for e, c in self._terms.items()})
         other = self._operand(other)
         if other is None:
             return NotImplemented
@@ -157,7 +129,7 @@ class _SparsePoly:
             for e2, c2 in other._terms.items():
                 exp = tuple(map(add, o1, e2[:n])) + tuple(map(xor, i1, e2[n:]))
                 terms[exp] = terms.get(exp, 0) + c1 * c2
-        return type(self)(self.vs, terms)
+        return self._new(terms)
 
     __rmul__ = __mul__
 
@@ -186,64 +158,63 @@ class _SparsePoly:
 class Polynomial(_SparsePoly):
     """Multivariate polynomial with integer coefficients.
 
-    Terms are stored as a map from exponent vectors (one slot per symbol of
-    the variable set, involutive slots restricted to 0/1) to nonzero
+    Terms are stored as a map from exponent vectors (one slot per name in
+    ``NAMES``, involutive slots restricted to 0/1) to nonzero
     arbitrary-precision integers.
     """
 
     __slots__ = ()
 
-    def __init__(self, vs: VariableSet, terms: Mapping[tuple[int, ...], int]):
-        self.vs = vs
-        n_ord = len(vs.ordinary)
+    def __init__(self, terms: Mapping[tuple[int, ...], int]):
         clean: dict[tuple[int, ...], int] = {}
         for exp, coeff in terms.items():
             if coeff == 0:
                 continue
-            if len(exp) != len(vs):
-                raise ValueError(f'exponent vector {exp} has wrong length for {vs.names}')
+            if len(exp) != _WIDTH:
+                raise ValueError(f'exponent vector {exp} has wrong length for {NAMES}')
             if any(e < 0 for e in exp):
                 raise ValueError(f'negative exponent in {exp}')
-            if any(e > 1 for e in exp[n_ord:]):
+            if any(e > 1 for e in exp[_N_ORD:]):
                 raise ValueError(f'involutive exponent above 1 in {exp}')
             clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
 
+    def _new(self, terms) -> 'Polynomial':
+        return Polynomial(terms)
+
     def _layout(self) -> tuple[int, tuple[str, ...]]:
-        return len(self.vs.ordinary), self.vs.names
+        return _LAYOUT
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vs: VariableSet = FULL) -> 'Polynomial':
-        return cls(vs, {})
+    def zero(cls) -> 'Polynomial':
+        return cls({})
 
     @classmethod
-    def const(cls, n: int, vs: VariableSet = FULL) -> 'Polynomial':
-        return cls(vs, {(0,) * len(vs): int(n)})
+    def const(cls, n: int) -> 'Polynomial':
+        return cls({(0,) * _WIDTH: int(n)})
 
     @classmethod
-    def one(cls, vs: VariableSet = FULL) -> 'Polynomial':
-        return cls.const(1, vs)
+    def one(cls) -> 'Polynomial':
+        return cls.const(1)
 
     @classmethod
-    def var(cls, name: str, vs: VariableSet = FULL) -> 'Polynomial':
-        exp = [0] * len(vs)
-        exp[vs.index(name)] = 1
-        return cls(vs, {tuple(exp): 1})
+    def var(cls, name: str) -> 'Polynomial':
+        return cls.monomial(1, **{name: 1})
 
     @classmethod
-    def monomial(cls, vs: VariableSet, coeff: int, **powers: int) -> 'Polynomial':
-        exp = [0] * len(vs)
+    def monomial(cls, coeff: int, **powers: int) -> 'Polynomial':
+        exp = [0] * _WIDTH
         for name, e in powers.items():
-            exp[vs.index(name)] = e
-        return cls(vs, {tuple(exp): coeff})
+            exp[NAMES.index(name)] = e
+        return cls({tuple(exp): coeff})
 
     def __pow__(self, n: int) -> 'Polynomial':
         if n < 0:
             raise ValueError('negative polynomial power')
-        result = Polynomial.one(self.vs)
+        result = Polynomial.one()
         base = self
         while n:
             if n & 1:
@@ -255,7 +226,7 @@ class Polynomial(_SparsePoly):
     # -- structure queries --------------------------------------------------
 
     def uses(self, name: str) -> bool:
-        i = self.vs.index(name)
+        i = NAMES.index(name)
         return any(e[i] for e in self._terms)
 
     def constant_value(self) -> int:
@@ -283,39 +254,33 @@ class Polynomial(_SparsePoly):
 
         Involutive symbols may only be replaced by +1 or -1.
         """
-        vs = self.vs
         values: dict[int, Polynomial] = {}
         for name, val in assignment.items():
+            involutive = name in INVOLUTIVE_NAMES
             if isinstance(val, int):
-                if vs.is_involutive(name) and val not in (1, -1):
+                if involutive and val not in (1, -1):
                     raise SubstitutionError(f'involutive symbol {name} assigned {val}, need +-1')
-                val_p = Polynomial.const(val, vs)
-            else:
-                if val.vs != vs:
-                    raise VariableMismatchError('substituted value over different variable set')
-                if vs.is_involutive(name):
-                    raise SubstitutionError(f'involutive symbol {name} needs a +-1 value')
-                val_p = val
-            values[vs.index(name)] = val_p
-        out = Polynomial.zero(vs)
+                val = Polynomial.const(val)
+            elif involutive:
+                raise SubstitutionError(f'involutive symbol {name} needs a +-1 value')
+            values[NAMES.index(name)] = val
+        out = Polynomial.zero()
         for exp, coeff in self._terms.items():
-            factor = Polynomial.const(coeff, vs)
-            rest = [0] * len(vs)
+            factor = Polynomial.const(coeff)
+            rest = [0] * _WIDTH
             for i, e in enumerate(exp):
                 if i in values:
                     if e:
                         factor = factor * values[i] ** e
                 else:
                     rest[i] = e
-            out = out + factor * Polynomial(vs, {tuple(rest): 1})
+            out = out + factor * Polynomial({tuple(rest): 1})
         return out
 
 
-def delta(vs: VariableSet = FULL) -> Polynomial:
+def delta() -> Polynomial:
     """The distinguished denominator b^2 - a^2."""
-    b2 = Polynomial.monomial(vs, 1, b=2)
-    a2 = Polynomial.monomial(vs, 1, a=2)
-    return b2 - a2
+    return Polynomial.monomial(1, b=2) - Polynomial.monomial(1, a=2)
 
 
 def divide_by_delta(p: Polynomial) -> Optional[Polynomial]:
@@ -324,9 +289,8 @@ def divide_by_delta(p: Polynomial) -> Optional[Polynomial]:
     Works by long division in b: delta is monic of degree 2 in b, so
     b^k = b^(k-2) * delta + a^2 * b^(k-2) for k >= 2.
     """
-    vs = p.vs
-    ib = vs.index('b')
-    ia = vs.index('a')
+    ib = NAMES.index('b')
+    ia = NAMES.index('a')
     buckets: dict[int, dict[tuple[int, ...], int]] = {}
     for exp, c in p.terms().items():
         buckets.setdefault(exp[ib], {})[exp] = c
@@ -348,7 +312,7 @@ def divide_by_delta(p: Polynomial) -> Optional[Polynomial]:
     for k in (0, 1):
         if any(c != 0 for c in buckets.get(k, {}).values()):
             return None
-    return Polynomial(vs, quotient)
+    return Polynomial(quotient)
 
 
 class DeltaFraction:
@@ -376,12 +340,8 @@ class DeltaFraction:
         self.delta_power = delta_power
 
     @classmethod
-    def from_int(cls, n: int, vs: VariableSet = FULL) -> 'DeltaFraction':
-        return cls(Polynomial.const(n, vs))
-
-    @property
-    def vs(self) -> VariableSet:
-        return self.num.vs
+    def from_int(cls, n: int) -> 'DeltaFraction':
+        return cls(Polynomial.const(n))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -389,7 +349,7 @@ class DeltaFraction:
     def _lift(self, other) -> Optional['DeltaFraction']:
         """An int, Polynomial or DeltaFraction operand as a fraction."""
         if isinstance(other, int):
-            return DeltaFraction.from_int(other, self.vs)
+            return DeltaFraction.from_int(other)
         if isinstance(other, Polynomial):
             return DeltaFraction(other)
         return other if isinstance(other, DeltaFraction) else None
@@ -401,6 +361,9 @@ class DeltaFraction:
         return self.num == other.num and self.delta_power == other.delta_power
 
     def __hash__(self):
+        # without a denominator the fraction equals, so hashes like, its numerator
+        if self.delta_power == 0:
+            return hash(self.num)
         return hash((self.num, self.delta_power))
 
     def __add__(self, other) -> 'DeltaFraction':
@@ -408,7 +371,7 @@ class DeltaFraction:
         if other is None:
             return NotImplemented
         k = max(self.delta_power, other.delta_power)
-        d = delta(self.vs)
+        d = delta()
         num = (self.num * d ** (k - self.delta_power)
                + other.num * d ** (k - other.delta_power))
         return DeltaFraction(num, k)
@@ -465,10 +428,6 @@ class DeltaFraction:
         return f'DeltaFraction({self.render()})'
 
 
-# Backwards-friendly alias used in the public API.
-Fraction = DeltaFraction
-
-
 # -- alpha/beta Laurent polynomials -----------------------------------------
 
 
@@ -476,19 +435,19 @@ class LaurentPoly(_SparsePoly):
     """Laurent polynomial with rational coefficients.
 
     Ordinary variables take arbitrary integer exponents; the involutive
-    variables r and s tag along with exponents 0/1.  ``vs`` is the tuple of
-    ordinary variable names.
+    variables r and s tag along with exponents 0/1.  ``variables`` is the
+    tuple of ordinary variable names: ('alpha', 'beta') or ('lambda',).
     """
 
-    __slots__ = ()
+    __slots__ = ('variables',)
 
     INVOLUTIVE = ('r', 's')
     _SCALARS = (int, QQ)
 
     def __init__(self, variables: tuple[str, ...],
                  terms: Mapping[tuple[int, ...], QQ]):
-        self.vs = tuple(variables)
-        nvars = len(self.vs) + 2
+        self.variables = tuple(variables)
+        nvars = len(self.variables) + 2
         clean: dict[tuple[int, ...], QQ] = {}
         for exp, coeff in terms.items():
             coeff = QQ(coeff)
@@ -496,14 +455,17 @@ class LaurentPoly(_SparsePoly):
                 continue
             if len(exp) != nvars:
                 raise ValueError('exponent vector has wrong length')
-            if any(e not in (0, 1) for e in exp[len(self.vs):]):
+            if any(e not in (0, 1) for e in exp[len(self.variables):]):
                 raise ValueError('involutive exponent above 1')
             clean[tuple(exp)] = clean.get(tuple(exp), QQ(0)) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
 
+    def _new(self, terms) -> 'LaurentPoly':
+        return LaurentPoly(self.variables, terms)
+
     def _layout(self) -> tuple[int, tuple[str, ...]]:
-        return len(self.vs), self.vs + self.INVOLUTIVE
+        return len(self.variables), self.variables + self.INVOLUTIVE
 
     @classmethod
     def zero(cls, variables=('alpha', 'beta')) -> 'LaurentPoly':
@@ -515,7 +477,7 @@ class LaurentPoly(_SparsePoly):
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree in the ordinary variables, or None."""
-        k = len(self.vs)
+        k = len(self.variables)
         degs = {sum(e[:k]) for e in self._terms}
         if not degs:
             return 0
@@ -523,7 +485,7 @@ class LaurentPoly(_SparsePoly):
 
     def dehomogenize(self) -> 'LaurentPoly':
         """Substitute beta := 1 (lambda := alpha/beta); needs degree 0."""
-        if self.vs != ('alpha', 'beta'):
+        if self.variables != ('alpha', 'beta'):
             raise ValueError('dehomogenize expects an alpha/beta Laurent polynomial')
         if self.homogeneous_degree() != 0:
             raise ValueError('not homogeneous of degree 0')
@@ -541,21 +503,16 @@ def to_alpha_beta(f: DeltaFraction) -> LaurentPoly:
     becomes a monomial and the result is an honest Laurent polynomial.  The
     symbol nu must already be specialized; r and s are carried along.
     """
-    vs = f.vs
     for name in ('c', 'x', 'y', 'z', 't', 'nu'):
-        if name in vs.names and f.num.uses(name):
+        if f.num.uses(name):
             raise SubstitutionError(f'cannot map {name} into the alpha/beta ring')
-    ia, ib = vs.index('a'), vs.index('b')
-    ir = vs.index('r') if 'r' in vs.names else None
-    is_ = vs.index('s') if 's' in vs.names else None
+    ia, ib, ir, is_ = (NAMES.index(n) for n in ('a', 'b', 'r', 's'))
     half = QQ(1, 2)
     # alpha/beta exponent pair for a^i b^j via binomial expansion
     out: dict[tuple[int, int, int, int], QQ] = {}
     k = f.delta_power
     for exp, coeff in f.num.terms().items():
-        i, j = exp[ia], exp[ib]
-        er = exp[ir] if ir is not None else 0
-        es = exp[is_] if is_ is not None else 0
+        i, j, er, es = exp[ia], exp[ib], exp[ir], exp[is_]
         # (alpha-beta)^i (alpha+beta)^j / 2^(i+j)
         poly: dict[tuple[int, int], QQ] = {(0, 0): QQ(coeff) * half ** (i + j)}
         for sign, reps in ((-1, i), (1, j)):
@@ -581,8 +538,7 @@ class PolyParseError(ValueError):
 
 
 class _Parser:
-    def __init__(self, text: str, vs: VariableSet):
-        self.vs = vs
+    def __init__(self, text: str):
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -637,9 +593,9 @@ class _Parser:
             p = self.parse_expr()
             self.expect(')')
         elif tok.isdigit():
-            p = Polynomial.const(int(tok), self.vs)
-        elif tok in self.vs.names:
-            p = Polynomial.var(tok, self.vs)
+            p = Polynomial.const(int(tok))
+        elif tok in NAMES:
+            p = Polynomial.var(tok)
         else:
             raise PolyParseError(f'unknown symbol {tok!r}')
         if self.peek() == '^':
@@ -651,23 +607,23 @@ class _Parser:
         return p
 
 
-def parse_polynomial(text: str, vs: VariableSet = FULL) -> Polynomial:
+def parse_polynomial(text: str) -> Polynomial:
     """Parse the canonical rendering back into a polynomial."""
-    parser = _Parser(text, vs)
+    parser = _Parser(text)
     p = parser.parse_expr()
     if parser.peek() is not None:
         raise PolyParseError(f'trailing input {parser.tokens[parser.i:]!r}')
     return p
 
 
-def parse_fraction(text: str, vs: VariableSet = FULL) -> DeltaFraction:
+def parse_fraction(text: str) -> DeltaFraction:
     """Parse ``poly`` or ``poly / (b^2 - a^2)^k`` into a fraction."""
     if '/' not in text:
-        return DeltaFraction(parse_polynomial(text, vs))
+        return DeltaFraction(parse_polynomial(text))
     num_text, denom_text = text.split('/', 1)
     denom_text = denom_text.strip()
     m = re.fullmatch(r'\(\s*b\s*\^\s*2\s*-\s*a\s*\^\s*2\s*\)(?:\s*\^\s*(\d+))?', denom_text)
     if not m:
         raise PolyParseError(f'denominator must be a power of (b^2 - a^2): {denom_text!r}')
     power = int(m.group(1) or 1)
-    return DeltaFraction(parse_polynomial(num_text, vs), power)
+    return DeltaFraction(parse_polynomial(num_text), power)

@@ -605,12 +605,15 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
                       else [allowed(SLIDE_KINDS)])
             groups.append(allowed(REMOVAL_KINDS + SLIDE_KINDS))
         applied = False
+        sites_of: dict[MoveKind, list[MoveSite]] = {}
         for group in groups:
-            kinds = [k for k in group if enumerate_sites(current, k)]
+            for k in group:
+                if k not in sites_of:
+                    sites_of[k] = enumerate_sites(current, k)
+            kinds = [k for k in group if sites_of[k]]
             if not kinds:
                 continue
-            kind = rng.choice(kinds)
-            sites = enumerate_sites(current, kind)
+            sites = sites_of[rng.choice(kinds)]
             site = sites[rng.randrange(len(sites))]
             current = _apply_unchecked(current, site)
             applied = True

@@ -19,8 +19,8 @@ Coefficient systems:
 
 * generic       positive triple (a, b, c), negative (x, y, z), free t:
                 polynomial output, no division anywhere.
-* welded(nu)    positive (a, b, nu*b), negative (-a, b, nu*b)/delta,
-                t = -2*nu; nu may stay symbolic or be +-1.
+* welded(nu)    the solved family of ``CoefficientSystem.substitution``;
+                nu may stay symbolic or be +-1.
 * extended      welded with nu = 1; the only solved mode that admits wens.
 """
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from weldskein import statesum
-from weldskein.algebra import (FULL, DeltaFraction, Polynomial, VariableSet,
-                               delta)
+from weldskein.algebra import NAMES, DeltaFraction, Polynomial
 from weldskein.diagram import (Diagram, check_valid, pass_through,
                                virtual_writhe, writhe)
 
@@ -80,49 +79,57 @@ class CoefficientSystem:
     def is_solved(self) -> bool:
         return self.kind != 'generic'
 
-    def nu_poly(self, vs: VariableSet = FULL) -> Polynomial:
+    def nu_poly(self) -> Polynomial:
         if self.nu is None:
-            return Polynomial.var('nu', vs)
-        return Polynomial.const(self.nu, vs)
+            return Polynomial.var('nu')
+        return Polynomial.const(self.nu)
 
-    def positive_triple(self, vs: VariableSet = FULL) -> tuple[DeltaFraction, ...]:
-        if self.kind == 'generic':
-            return tuple(DeltaFraction(Polynomial.var(n, vs)) for n in 'abc')
-        av, bv = Polynomial.var('a', vs), Polynomial.var('b', vs)
-        return (DeltaFraction(av), DeltaFraction(bv),
-                DeltaFraction(self.nu_poly(vs) * bv))
+    def substitution(self) -> dict[str, Polynomial]:
+        """The solved family as images of the generic symbols; {} if generic.
 
-    def negative_triple(self, vs: VariableSet = FULL) -> tuple[DeltaFraction, ...]:
-        if self.kind == 'generic':
-            return tuple(DeltaFraction(Polynomial.var(n, vs)) for n in 'xyz')
-        av, bv = Polynomial.var('a', vs), Polynomial.var('b', vs)
-        return (DeltaFraction(-av, 1), DeltaFraction(bv, 1),
-                DeltaFraction(self.nu_poly(vs) * bv, 1))
+        c = nu*b and t = -2*nu; the negative triple (x, y, z) is
+        (-a, b, nu*b)/delta, given here by its numerators.
+        """
+        if not self.is_solved:
+            return {}
+        nu = self.nu_poly()
+        a, b = Polynomial.var('a'), Polynomial.var('b')
+        return {'c': nu * b, 't': nu * -2, 'x': -a, 'y': b, 'z': nu * b}
 
-    def t_value(self, vs: VariableSet = FULL) -> DeltaFraction:
-        if self.kind == 'generic':
-            return DeltaFraction(Polynomial.var('t', vs))
-        return DeltaFraction(self.nu_poly(vs) * -2)
+    def _values(self, names: str, delta_power: int = 0) -> tuple[DeltaFraction, ...]:
+        """The named coefficients; solved images are divided by delta^delta_power."""
+        sub = self.substitution()
+        return tuple(DeltaFraction(sub[n], delta_power) if n in sub
+                     else DeltaFraction(Polynomial.var(n)) for n in names)
 
-    def r_value(self, vs: VariableSet = FULL) -> DeltaFraction:
-        return DeltaFraction(Polynomial.var('r', vs))
+    def positive_triple(self) -> tuple[DeltaFraction, ...]:
+        return self._values('abc')
 
-    def s_value(self, vs: VariableSet = FULL) -> DeltaFraction:
-        return DeltaFraction(Polynomial.var('s', vs))
+    def negative_triple(self) -> tuple[DeltaFraction, ...]:
+        return self._values('xyz', delta_power=1)
 
-    def omega(self, vs: VariableSet = FULL) -> Polynomial:
+    def t_value(self) -> DeltaFraction:
+        return self._values('t')[0]
+
+    def r_value(self) -> DeltaFraction:
+        return DeltaFraction(Polynomial.var('r'))
+
+    def s_value(self) -> DeltaFraction:
+        return DeltaFraction(Polynomial.var('s'))
+
+    def omega(self) -> Polynomial:
         """The kink unit a*r - nu*b (solved modes)."""
         if not self.is_solved:
             raise ValueError('omega is only defined for solved families')
-        ar = Polynomial.var('a', vs) * Polynomial.var('r', vs)
-        return ar - self.nu_poly(vs) * Polynomial.var('b', vs)
+        ar = Polynomial.var('a') * Polynomial.var('r')
+        return ar - self.nu_poly() * Polynomial.var('b')
 
-    def omega_inverse(self, vs: VariableSet = FULL) -> DeltaFraction:
+    def omega_inverse(self) -> DeltaFraction:
         """(-r*a - nu*b)/delta; the reciprocal of omega since r^2 = nu^2 = 1."""
         if not self.is_solved:
             raise ValueError('omega is only defined for solved families')
-        ra = Polynomial.var('r', vs) * Polynomial.var('a', vs)
-        num = -ra - self.nu_poly(vs) * Polynomial.var('b', vs)
+        ra = Polynomial.var('r') * Polynomial.var('a')
+        num = -ra - self.nu_poly() * Polynomial.var('b')
         return DeltaFraction(num, 1)
 
     def describe(self) -> str:
@@ -182,15 +189,14 @@ def state_loops(d: Diagram, s: State) -> int:
     return len(uf.roots()) + d.free_loops
 
 
-def state_value(d: Diagram, s: State, cs: CoefficientSystem,
-                vs: VariableSet = FULL) -> DeltaFraction:
+def state_value(d: Diagram, s: State, cs: CoefficientSystem) -> DeltaFraction:
     """Value of one smoothing state: coeff * t^loops * r^parity * s^wens."""
     if len(s.assignment) != len(d.classical):
         raise ValueError('state must assign a smoothing to every classical crossing')
     _check_wens(d, cs)
-    pos = cs.positive_triple(vs)
-    neg = cs.negative_triple(vs)
-    value = DeltaFraction.from_int(1, vs)
+    pos = cs.positive_triple()
+    neg = cs.negative_triple()
+    value = DeltaFraction.from_int(1)
     n_virt = 0
     for c, sm in zip(d.classical, s.assignment):
         triple = pos if c.sign > 0 else neg
@@ -198,12 +204,12 @@ def state_value(d: Diagram, s: State, cs: CoefficientSystem,
         if sm == 'V':
             n_virt += 1
     loops = state_loops(d, s)
-    value = value * cs.t_value(vs) ** loops
+    value = value * cs.t_value() ** loops
     parity = (len(d.virtual_x) + n_virt) % 2
     if parity:
-        value = value * cs.r_value(vs)
+        value = value * cs.r_value()
     if len(d.wens) % 2:
-        value = value * cs.s_value(vs)
+        value = value * cs.s_value()
     return value
 
 
@@ -242,18 +248,19 @@ def _kernel_inputs(d: Diagram, boundary_edges: Sequence[str] = ()):
     return len(node_of), crossing_nodes, signs, constant_loops, boundary_nodes
 
 
-def state_term_builder(cs: CoefficientSystem, vs: VariableSet,
-                       n_pos: int, n_neg: int):
+def state_term_builder(cs: CoefficientSystem, n_pos: int, n_neg: int):
     """Map a state's counts to the exponents and integer coefficient of
 
         coeff(state) * t^loops * r^parity * s^wen_parity,
 
     for a diagram with ``n_pos`` positive and ``n_neg`` negative classical
-    crossings.  Solved families use t = -2nu and the negative triple's
-    numerators (-a, b, nu*b); the caller keeps the delta^n_neg.
+    crossings.  Solved families are written out by hand here, as the fast
+    path: c = nu*b, t = -2nu and the negative triple's numerators
+    (-a, b, nu*b); the caller keeps the delta^n_neg.  Tests hold this
+    against ``state_value``, which reads ``CoefficientSystem.substitution``.
     """
-    idx = {name: vs.index(name) for name in vs.names}
-    nvars = len(vs)
+    idx = {name: i for i, name in enumerate(NAMES)}
+    nvars = len(NAMES)
 
     def term(vp, ip, vn, inn, loops, parity, wen_parity):
         cp = n_pos - vp - ip
@@ -284,12 +291,9 @@ def state_term_builder(cs: CoefficientSystem, vs: VariableSet,
     return term
 
 
-def bracket(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
-            check_wens: bool = True, vs: VariableSet = FULL) -> DeltaFraction:
-    """The unnormalized state sum over all 3^n smoothing states.
-
-    ``threads`` is accepted for compatibility; evaluation is single-threaded.
-    """
+def bracket(d: Diagram, cs: CoefficientSystem, *,
+            check_wens: bool = True) -> DeltaFraction:
+    """The unnormalized state sum over all 3^n smoothing states."""
     check_valid(d)
     if check_wens:
         _check_wens(d, cs)
@@ -299,32 +303,29 @@ def bracket(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
     n_neg = len(signs) - n_pos
     v_d = len(d.virtual_x)
     wen_parity = len(d.wens) % 2
-    term = state_term_builder(cs, vs, n_pos, n_neg)
+    term = state_term_builder(cs, n_pos, n_neg)
     terms: dict[tuple[int, ...], int] = {}
     for (vp, ip, vn, inn, loops), count in hist.items():
         exp, coeff = term(vp, ip, vn, inn, loops + const_loops,
                           (v_d + vp + vn) % 2, wen_parity)
         terms[exp] = terms.get(exp, 0) + count * coeff
-    num = Polynomial(vs, terms)
+    num = Polynomial(terms)
     return DeltaFraction(num, n_neg if cs.is_solved else 0)
 
 
-def y_invariant(d: Diagram, cs: CoefficientSystem, *, threads: int = 1,
-                check_wens: bool = True, vs: VariableSet = FULL) -> DeltaFraction:
-    """r^v(L) * omega^(-w(L)) * bracket(L) for a solved coefficient family.
-
-    ``threads`` is accepted for compatibility; evaluation is single-threaded.
-    """
+def y_invariant(d: Diagram, cs: CoefficientSystem, *,
+                check_wens: bool = True) -> DeltaFraction:
+    """r^v(L) * omega^(-w(L)) * bracket(L) for a solved coefficient family."""
     if not cs.is_solved:
         raise ValueError('the normalized invariant needs a solved family')
-    value = bracket(d, cs, check_wens=check_wens, vs=vs)
+    value = bracket(d, cs, check_wens=check_wens)
     if virtual_writhe(d)[1]:
-        value = value * cs.r_value(vs)
+        value = value * cs.r_value()
     w = writhe(d)
     if w >= 0:
-        value = value * cs.omega_inverse(vs) ** w
+        value = value * cs.omega_inverse() ** w
     else:
-        value = value * DeltaFraction(cs.omega(vs) ** (-w))
+        value = value * DeltaFraction(cs.omega() ** (-w))
     return value
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from weldskein import statesum
-from weldskein.algebra import FULL, DeltaFraction, Polynomial, delta
-from weldskein.diagram import (Tangle, UnionFind, check_valid,
-                               parse_tangle_text)
+from weldskein.algebra import DeltaFraction, Polynomial, delta
+from weldskein.diagram import Tangle, UnionFind, check_valid, parse_tangle
 from weldskein.skein import (CoefficientSystem, _kernel_inputs,
                              state_term_builder)
 
@@ -64,7 +63,7 @@ class TangleBracket:
     wen_parity: int
 
 
-def tangle_bracket(t: Tangle, vs=FULL) -> TangleBracket:
+def tangle_bracket(t: Tangle) -> TangleBracket:
     """Expand a tangle into its smoothing states, grouped by pairing.
 
     The state-sum kernel keeps the endpoint edges open and reports, per
@@ -80,7 +79,7 @@ def tangle_bracket(t: Tangle, vs=FULL) -> TangleBracket:
     hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
                                         boundary_nodes)
     neg_count = sum(1 for s in signs if s < 0)
-    term = state_term_builder(CoefficientSystem.generic(), vs,
+    term = state_term_builder(CoefficientSystem.generic(),
                               len(signs) - neg_count, neg_count)
     grouped: dict[tuple[Pairing, int, int], dict] = {}
     for key, count in hist.items():
@@ -91,12 +90,12 @@ def tangle_bracket(t: Tangle, vs=FULL) -> TangleBracket:
         terms = grouped.setdefault(
             (pairing, loops + const_loops, (len(d.virtual_x) + vp + vn) % 2), {})
         terms[exp] = terms.get(exp, 0) + count * coeff
-    entries = {k: Polynomial(vs, terms) for k, terms in grouped.items()}
+    entries = {k: Polynomial(terms) for k, terms in grouped.items()}
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
     return TangleBracket(labels, entries, neg_count, len(d.wens) % 2)
 
 
-def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynomial:
+def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     """Compose a closure pairing with each state pairing and sum the values.
 
     Returns the cleared-denominator polynomial (implicit delta power is
@@ -106,9 +105,9 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
     flat = [lab for p in pairs for lab in p]
     if sorted(flat) != sorted(tb.labels) or any(len(p) != 2 for p in pairs):
         raise ValueError('closure must be a perfect matching of the endpoints')
-    total = Polynomial.zero(vs)
-    tvar = Polynomial.var('t', vs)
-    rvar = Polynomial.var('r', vs)
+    total = Polynomial.zero()
+    tvar = Polynomial.var('t')
+    rvar = Polynomial.var('r')
     for (pairing, loops, parity), coeff in tb.entries.items():
         uf = UnionFind(tb.labels)
         for group in pairing:
@@ -123,22 +122,22 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]], vs=FULL) -> Polynom
             value = value * rvar
         total = total + value
     if tb.wen_parity:
-        total = total * Polynomial.var('s', vs)
+        total = total * Polynomial.var('s')
     return total
 
 
-def _pairing_values(tb: TangleBracket, vs=FULL) -> dict[Pairing, Polynomial]:
+def _pairing_values(tb: TangleBracket) -> dict[Pairing, Polynomial]:
     """Fold loops and parity into t/r powers, grouped by pairing."""
     out: dict[Pairing, Polynomial] = {}
-    tvar = Polynomial.var('t', vs)
-    rvar = Polynomial.var('r', vs)
+    tvar = Polynomial.var('t')
+    rvar = Polynomial.var('r')
     for (pairing, loops, parity), coeff in tb.entries.items():
         value = coeff * tvar ** loops
         if parity:
             value = value * rvar
         if tb.wen_parity:
-            value = value * Polynomial.var('s', vs)
-        out[pairing] = out.get(pairing, Polynomial.zero(vs)) + value
+            value = value * Polynomial.var('s')
+        out[pairing] = out.get(pairing, Polynomial.zero()) + value
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -152,12 +151,12 @@ def normalize_equation(p: Polynomial) -> Polynomial:
         return p
     content = p.content_and_sign()
     exps = list(terms)
-    common = [min(e[i] for e in exps) for i in range(len(p.vs))]
+    common = [min(col) for col in zip(*exps)]
     new_terms = {}
     for e, c in terms.items():
         ne = tuple(ei - common[i] for i, ei in enumerate(e))
         new_terms[ne] = c // content
-    return Polynomial(p.vs, new_terms)
+    return Polynomial(new_terms)
 
 
 @dataclass
@@ -187,35 +186,25 @@ class Constraint:
             raise ValueError('writhe-shifting move has no generic equation')
         rhs = self.rhs
         if self.dv % 2:
-            rhs = rhs * Polynomial.var('r', rhs.vs)
+            rhs = rhs * Polynomial.var('r')
         return self.lhs - rhs
 
-    def residual(self, family: CoefficientSystem, vs=FULL) -> Polynomial:
+    def residual(self, family: CoefficientSystem) -> Polynomial:
         """Substitute a solved family; zero iff the constraint holds."""
-        subst = solved_substitution(family, vs)
+        subst = family.substitution()
         lhs = self.lhs.substitute(subst)
         rhs = self.rhs.substitute(subst)
-        d = delta(vs)
+        d = delta()
         lhs = lhs * d ** self.neg_r
         rhs = rhs * d ** self.neg_l
         if self.dv % 2:
-            rhs = rhs * Polynomial.var('r', vs)
-        omega = family.omega(vs)
+            rhs = rhs * Polynomial.var('r')
+        omega = family.omega()
         if self.dw >= 0:
             rhs = rhs * omega ** self.dw
         else:
             lhs = lhs * omega ** (-self.dw)
         return lhs - rhs
-
-
-def solved_substitution(family: CoefficientSystem, vs=FULL) -> dict[str, Polynomial]:
-    """Map generic symbols onto the solved family (cleared numerators)."""
-    if not family.is_solved:
-        return {}
-    nu = family.nu_poly(vs)
-    a = Polynomial.var('a', vs)
-    b = Polynomial.var('b', vs)
-    return {'c': nu * b, 't': nu * -2, 'x': -a, 'y': b, 'z': nu * b}
 
 
 @dataclass
@@ -334,11 +323,6 @@ def builtin_moves() -> dict[str, MoveSchema]:
     return {m.name: m for m in _MOVES}
 
 
-def _parse_tangle(text: str) -> Tangle:
-    d, boundary = parse_tangle_text(text)
-    return Tangle(d, tuple(boundary))
-
-
 def move_constraints(lhs: Tangle, rhs: Tangle,
                      *, method: str = 'closure', move: str = '?',
                      dw: int = 0, dv: int = 0) -> ConstraintSet:
@@ -375,7 +359,7 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
 
 def constraints_for(move_name: str) -> ConstraintSet:
     schema = builtin_moves()[move_name]
-    return move_constraints(_parse_tangle(schema.lhs), _parse_tangle(schema.rhs),
+    return move_constraints(parse_tangle(schema.lhs), parse_tangle(schema.rhs),
                             method=schema.method, move=schema.name,
                             dw=schema.dw, dv=schema.dv)
 
@@ -383,17 +367,17 @@ def constraints_for(move_name: str) -> ConstraintSet:
 # -- kink expansions and the solved-family report ------------------------------
 
 
-def kink_coefficients(family: CoefficientSystem, vs=FULL) -> tuple[DeltaFraction, DeltaFraction]:
+def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
     """Expansion coefficients of the positive and negative kink tangles.
 
     Derived from the tangle brackets, not hardcoded: the strand-pairing value
     of the kink equals coeff * [plain strand].
     """
-    subst = solved_substitution(family, vs)
+    subst = family.substitution()
     out = []
     for name in ('r1a', 'r1b'):
         schema = builtin_moves()[name]
-        tb = tangle_bracket(_parse_tangle(schema.lhs))
+        tb = tangle_bracket(parse_tangle(schema.lhs))
         vals = _pairing_values(tb)
         [(pairing, poly)] = vals.items()
         out.append(DeltaFraction(poly.substitute(subst), tb.neg_count))

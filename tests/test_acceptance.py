@@ -308,15 +308,12 @@ def test_criterion_8_scale_check():
         d = apply_move(d, sites[rng.randrange(len(sites))])
     assert len(d.classical) == 12
     t0 = time.perf_counter()
-    single = y_invariant(d, EXT, threads=1)
+    y_invariant(d, EXT)
     elapsed = time.perf_counter() - t0
-    parallel = y_invariant(d, EXT, threads=4)
     problems = []
     if elapsed > 60:
-        problems.append(f'single-threaded run took {elapsed:.1f}s')
-    if parallel != single:
-        problems.append('parallel result differs')
+        problems.append(f'evaluation took {elapsed:.1f}s')
     ok = report(8, not problems, '; '.join(problems) or
-                f'3^12 states in {elapsed:.2f}s (pure-python kernel); '
-                f'threads=4 result identical')
+                f'3^12 states in {elapsed:.2f}s (pure-python kernel, '
+                f'single-threaded)')
     assert ok, problems

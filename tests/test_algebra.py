@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weldskein.algebra import (FULL, DeltaFraction, LaurentPoly, Polynomial,
+from weldskein.algebra import (INVOLUTIVE_NAMES, NAMES, ORDINARY_NAMES,
+                               DeltaFraction, LaurentPoly, Polynomial,
                                PolyParseError, SubstitutionError,
-                               VariableMismatchError, VariableSet, delta,
-                               divide_by_delta, parse_fraction,
-                               parse_polynomial, to_alpha_beta)
+                               VariableMismatchError, delta, divide_by_delta,
+                               parse_fraction, parse_polynomial, to_alpha_beta)
 
 
 def v(name):
@@ -17,18 +17,6 @@ def v(name):
 
 
 a, b, c, t, r, nu, s = (v(n) for n in ('a', 'b', 'c', 't', 'r', 'nu', 's'))
-
-
-class TestVariableSet:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            VariableSet(('a', 'a'), ())
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError):
-            VariableSet(('q',), ())
-        with pytest.raises(ValueError):
-            VariableSet((), ('a',))
 
 
 class TestPolynomialBasics:
@@ -54,21 +42,22 @@ class TestPolynomialBasics:
     def test_plain_product(self):
         assert (a * b).render() == 'a*b'
 
-    def test_mismatched_variable_sets(self):
-        small = VariableSet(('a', 'b'), ())
-        with pytest.raises(VariableMismatchError):
-            a + Polynomial.var('a', small)
-
     def test_constant_value(self):
         assert Polynomial.const(5).constant_value() == 5
         with pytest.raises(ValueError):
             a.constant_value()
 
     def test_involutive_exponent_validation(self):
-        exp = [0] * len(FULL)
-        exp[FULL.index('r')] = 2
+        exp = [0] * len(NAMES)
+        exp[NAMES.index('r')] = 2
         with pytest.raises(ValueError):
-            Polynomial(FULL, {tuple(exp): 1})
+            Polynomial({tuple(exp): 1})
+
+    def test_exponent_vector_length_checked(self):
+        with pytest.raises(ValueError):
+            Polynomial({(1, 0): 1})
+        with pytest.raises(ValueError):
+            Polynomial.var('q')
 
 
 class TestDivideByDelta:
@@ -217,17 +206,36 @@ class TestSharedCore:
             LaurentPoly.const(1) + LaurentPoly.const(1, ('lambda',))
 
 
+class TestHashing:
+    """Values that compare equal hash equal, so sets and dicts merge them."""
+
+    def test_constants_hash_like_their_value(self):
+        for n in (0, 1, -3):
+            for value in (Polynomial.const(n), DeltaFraction.from_int(n),
+                          LaurentPoly.const(n), LaurentPoly.const(n, ('lambda',))):
+                assert value == n and hash(value) == hash(n), value
+                assert len({n, value}) == 1
+        half = LaurentPoly.const(QQ(1, 2))
+        assert half == QQ(1, 2) and len({QQ(1, 2), half}) == 1
+
+    def test_fraction_without_denominator_hashes_like_numerator(self):
+        for p in (a, a * r - nu * b, Polynomial.zero()):
+            assert DeltaFraction(p) == p and len({p, DeltaFraction(p)}) == 1
+        assert DeltaFraction(delta(), 1) == 1
+        assert len({1, DeltaFraction(delta(), 1)}) == 1
+
+
 # -- property tests -------------------------------------------------------------
 
 def monomials():
-    exps = st.tuples(*([st.integers(0, 3)] * len(FULL.ordinary)
-                       + [st.integers(0, 1)] * len(FULL.involutive)))
+    exps = st.tuples(*([st.integers(0, 3)] * len(ORDINARY_NAMES)
+                       + [st.integers(0, 1)] * len(INVOLUTIVE_NAMES)))
     return st.tuples(exps, st.integers(-9, 9))
 
 
 def polynomials():
     return st.lists(monomials(), max_size=5).map(
-        lambda items: Polynomial(FULL, dict(items)))
+        lambda items: Polynomial(dict(items)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,6 +246,14 @@ def test_ring_axioms(p, q, w):
     assert (p * q) * w == p * (q * w)
     assert p * q == q * p
     assert p * (q + w) == p * q + p * w
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), st.integers(-10 ** 30, 10 ** 30))
+def test_equal_values_hash_equal(p, n):
+    assert DeltaFraction(p) == p and hash(DeltaFraction(p)) == hash(p)
+    for value in (Polynomial.const(n), DeltaFraction.from_int(n)):
+        assert value == n and hash(value) == hash(n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,14 +278,14 @@ def ab_polynomials():
     def build(items):
         terms = {}
         for (ea, eb, er, es), coeff in items:
-            exp = [0] * len(FULL)
-            exp[FULL.index('a')] = ea
-            exp[FULL.index('b')] = eb
-            exp[FULL.index('r')] = er
-            exp[FULL.index('s')] = es
+            exp = [0] * len(NAMES)
+            exp[NAMES.index('a')] = ea
+            exp[NAMES.index('b')] = eb
+            exp[NAMES.index('r')] = er
+            exp[NAMES.index('s')] = es
             exp = tuple(exp)
             terms[exp] = terms.get(exp, 0) + coeff
-        return Polynomial(FULL, terms)
+        return Polynomial(terms)
     return st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=5).map(build)
 
 

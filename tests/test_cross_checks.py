@@ -12,11 +12,11 @@ import itertools
 import pytest
 
 from weldskein.diagram import (ClassicalCrossing, Diagram, VirtualCrossing,
-                               Wen, check_valid)
+                               Wen, check_valid, parse_tangle)
 from weldskein.algebra import DeltaFraction
 from weldskein.skein import CoefficientSystem, State, bracket, state_value
 from weldskein.verifier import (builtin_moves, close, perfect_matchings,
-                                tangle_bracket, _parse_tangle)
+                                tangle_bracket)
 
 GENERIC = CoefficientSystem.generic()
 
@@ -71,7 +71,7 @@ def close_tangle_to_diagram(tangle, pairs):
 @pytest.mark.parametrize('side', ('lhs', 'rhs'))
 def test_closure_values_match_bracket(name, side):
     schema = builtin_moves()[name]
-    tangle = _parse_tangle(getattr(schema, side))
+    tangle = parse_tangle(getattr(schema, side))
     tb = tangle_bracket(tangle)
     realizable = 0
     for pairs in perfect_matchings(tb.labels):
@@ -91,7 +91,7 @@ def test_closure_values_match_bracket(name, side):
 
 def test_some_closures_are_direction_incompatible():
     schema = builtin_moves()['r3']
-    tangle = _parse_tangle(schema.lhs)
+    tangle = parse_tangle(schema.lhs)
     results = [close_tangle_to_diagram(tangle, pairs)
                for pairs in perfect_matchings(tangle.labels())]
     assert any(r is None for r in results)   # e.g. pairing two inputs

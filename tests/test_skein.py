@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from weldskein import statesum
-from weldskein.algebra import (DeltaFraction, LaurentPoly, Polynomial, delta,
-                               parse_fraction, to_alpha_beta)
+from weldskein.algebra import (NAMES, DeltaFraction, LaurentPoly, Polynomial,
+                               delta, parse_fraction, to_alpha_beta)
 from weldskein.diagram import (Diagram, VirtualCrossing, components,
                                disjoint_union, parse, virtual_writhe,
                                wen_count, writhe)
@@ -131,14 +131,8 @@ class TestBracket:
         gen = bracket(d, CoefficientSystem.generic())
         n = len(d.classical)
         for exp in gen.num.terms():
-            degree = sum(exp[gen.num.vs.index(name)] for name in 'abcxyz')
+            degree = sum(exp[NAMES.index(name)] for name in 'abcxyz')
             assert degree == n
-
-    def test_parallel_schedule_independent(self):
-        d = parse(CORPUS_TEXT['trefoil'])
-        serial = bracket(d, WSYM, threads=1)
-        for threads in (2, 3, 5):
-            assert bracket(d, WSYM, threads=threads) == serial
 
     def test_wens_rejected_outside_extended(self):
         d = parse(CORPUS_TEXT['wen_hopf'])

@@ -63,8 +63,8 @@ class TestTangleBracket:
 
     def test_r2_composite_coefficients(self):
         schema = builtin_moves()['r2']
-        from weldskein.verifier import _parse_tangle, _pairing_values
-        vals = _pairing_values(tangle_bracket(_parse_tangle(schema.lhs)))
+        from weldskein.verifier import _pairing_values
+        vals = _pairing_values(tangle_bracket(parse_tangle(schema.lhs)))
         tagged = {pairing_tag(k): v for k, v in vals.items()}
         assert same_up_to_unit(tagged['13:24'], poly('a*x + b*y'))
         assert same_up_to_unit(tagged['14:23'], poly('a*y + b*x'))
