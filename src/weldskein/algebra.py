@@ -44,15 +44,26 @@ class SubstitutionError(ValueError):
 class _SparsePoly:
     """Sparse map from exponent vectors to nonzero coefficients.
 
-    Subclasses supply ``_new(terms)``, a value of the same ring and space,
-    and ``_layout()``: the number of ordinary exponent slots, which add under
-    multiplication (the involutive ones after them add modulo 2), and the
-    names of all slots.  Values combine only when class and layout agree.
+    Subclasses supply ``_layout()``: the number of ordinary exponent slots,
+    which add under multiplication (the involutive ones after them add
+    modulo 2), and the names of all slots.  Values combine only when class
+    and layout agree.  Arithmetic builds its results with ``_new(terms)``.
     """
 
     __slots__ = ('_terms', '_hash')
 
     _SCALARS: tuple[type, ...] = (int,)
+
+    def _new(self, terms):
+        """A value of this ring from terms that are valid by construction.
+
+        Results of arithmetic on valid values skip the per-term checks of
+        the public constructor; only zero coefficients are dropped.
+        """
+        value = object.__new__(type(self))
+        value._terms = {e: c for e, c in terms.items() if c}
+        value._hash = None
+        return value
 
     def _scalar(self, value):
         return self._new({(0,) * len(self._layout()[1]): value})
@@ -180,9 +191,6 @@ class Polynomial(_SparsePoly):
         self._terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
 
-    def _new(self, terms) -> 'Polynomial':
-        return Polynomial(terms)
-
     def _layout(self) -> tuple[int, tuple[str, ...]]:
         return _LAYOUT
 
@@ -214,7 +222,7 @@ class Polynomial(_SparsePoly):
     def __pow__(self, n: int) -> 'Polynomial':
         if n < 0:
             raise ValueError('negative polynomial power')
-        result = Polynomial.one()
+        result = self._new({(0,) * _WIDTH: 1})
         base = self
         while n:
             if n & 1:
@@ -264,9 +272,9 @@ class Polynomial(_SparsePoly):
             elif involutive:
                 raise SubstitutionError(f'involutive symbol {name} needs a +-1 value')
             values[NAMES.index(name)] = val
-        out = Polynomial.zero()
+        out = self._new({})
         for exp, coeff in self._terms.items():
-            factor = Polynomial.const(coeff)
+            factor = self._new({(0,) * _WIDTH: coeff})
             rest = [0] * _WIDTH
             for i, e in enumerate(exp):
                 if i in values:
@@ -274,7 +282,7 @@ class Polynomial(_SparsePoly):
                         factor = factor * values[i] ** e
                 else:
                     rest[i] = e
-            out = out + factor * Polynomial({tuple(rest): 1})
+            out = out + factor * self._new({tuple(rest): 1})
         return out
 
 
@@ -312,7 +320,7 @@ def divide_by_delta(p: Polynomial) -> Optional[Polynomial]:
     for k in (0, 1):
         if any(c != 0 for c in buckets.get(k, {}).values()):
             return None
-    return Polynomial(quotient)
+    return p._new(quotient)
 
 
 class DeltaFraction:
@@ -462,6 +470,7 @@ class LaurentPoly(_SparsePoly):
         self._hash = None
 
     def _new(self, terms) -> 'LaurentPoly':
+        # through the constructor, which makes every coefficient a Fraction
         return LaurentPoly(self.variables, terms)
 
     def _layout(self) -> tuple[int, tuple[str, ...]]:

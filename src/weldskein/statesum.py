@@ -1,15 +1,48 @@
 """The smoothing-state kernel, shared by closed diagrams and tangles.
 
-Every classical crossing is resolved three ways, and the kernel counts the
-``3^n`` resolved states by coefficient shape.  It walks the per-crossing
-smoothing digits depth first with a union-find snapshot per level, so a
-leaf only pays for the unions of its own branch.  Boundary nodes (tangle
-endpoints) stay open: a class that holds one is a strand, not a loop, and
-each key also records how the state joins the boundary nodes.
+Every classical crossing is resolved three ways, so a diagram has ``3^n``
+resolved states; the kernel counts them by coefficient shape without
+visiting them one by one.  It sweeps over the crossings in a fixed order
+and keeps, for each way the states so far can connect the *frontier*
+(the nodes already met that later crossings or the boundary still use),
+a table of coefficient-shape counters.  A crossing extends every entry
+three ways; a node leaves the frontier after its last crossing, and a
+class of nodes that leaves it whole is a closed loop.  Entries that
+connect the frontier alike merge, so the cost grows with the number of
+frontier partitions, which is set by the frontier's width, not with
+``3^n``.  Boundary nodes (tangle endpoints) stay on the frontier to the
+end: a class that holds one is a strand, not a loop, and each key also
+records how the state joins the boundary nodes.
 """
 from __future__ import annotations
 
 from typing import Sequence
+
+
+def _sweep_order(crossing_nodes: Sequence[int], n: int) -> list[int]:
+    """The order in which the kernel visits the ``n`` crossings.
+
+    Greedy and deterministic: next comes the crossing with the most slots
+    on nodes already met, ties going to the lowest index.  Keeping the
+    crossings that close the frontier first keeps the frontier narrow.
+    """
+    crossings_at: dict[int, list[int]] = {}
+    for slot, node in enumerate(crossing_nodes):
+        crossings_at.setdefault(node, []).append(slot >> 2)
+    score = [0] * n
+    todo = list(range(n))
+    order = []
+    seen: set[int] = set()
+    while todo:
+        j = max(todo, key=score.__getitem__)    # first maximum: lowest index
+        todo.remove(j)
+        order.append(j)
+        for node in crossing_nodes[4 * j:4 * j + 4]:
+            if node not in seen:
+                seen.add(node)
+                for k in crossings_at[node]:
+                    score[k] += 1
+    return order
 
 
 def smoothing_histogram(n_nodes: int,
@@ -28,6 +61,7 @@ def smoothing_histogram(n_nodes: int,
     each key gains a sixth entry, the canonical partition of the boundary:
     one ascending tuple of indices into ``boundary_nodes`` per class the
     state forms, ordered by first index.  Those classes are not loops.
+    The order of the keys is unspecified.
     """
     n = len(signs)
     if len(crossing_nodes) != 4 * n:
@@ -35,55 +69,77 @@ def smoothing_histogram(n_nodes: int,
     boundary = tuple(boundary_nodes)
     if any(not 0 <= i < n_nodes for i in (*crossing_nodes, *boundary)):
         raise ValueError(f'node ids must lie in range({n_nodes})')
+    order = _sweep_order(crossing_nodes, n)
+    last = {}                   # node -> the sweep step of its last slot
+    for step, j in enumerate(order):
+        for node in crossing_nodes[4 * j:4 * j + 4]:
+            last[node] = step
+    for node in boundary:
+        last[node] = n          # boundary nodes never leave the frontier
+
+    # Counters packed into one int, fields of ``w`` bits from the lowest:
+    # loops, vp, ip, vn, inn.  No field can exceed max(n, n_nodes).
+    w = max(n, n_nodes, 1).bit_length()
+    mask = (1 << w) - 1
+
+    # layer: frontier partition (a class label per frontier node, labels
+    # numbered by first appearance) -> {packed counters: states}
+    layer: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    frontier: list[int] = []
+    for step, j in enumerate(order):
+        quad = crossing_nodes[4 * j:4 * j + 4]
+        ext = frontier + [v for v in dict.fromkeys(quad) if v not in frontier]
+        at = {v: i for i, v in enumerate(ext)}
+        oi, oo, ui, uo = map(at.__getitem__, quad)
+        keep = [i for i, v in enumerate(ext) if last[v] != step]
+        drop = [i for i, v in enumerate(ext) if last[v] == step]
+        fresh = len(ext) - len(frontier)
+        shift = w if signs[j] > 0 else 3 * w
+        joins = (((oi, oo), (ui, uo), 1 << shift),
+                 ((oi, uo), (ui, oo), 1 << (shift + w)),
+                 ((oi, ui), (oo, uo), 0))
+        nxt: dict[tuple, dict[int, int]] = {}
+        for state, table in layer.items():
+            k = max(state) + 1 if state else 0
+            base = state + tuple(range(k, k + fresh))
+            for (p1, q1), (p2, q2), delta in joins:
+                lab = base
+                x, y = lab[p1], lab[q1]
+                if x != y:
+                    lab = [x if c == y else c for c in lab]
+                x, y = lab[p2], lab[q2]
+                if x != y:
+                    lab = [x if c == y else c for c in lab]
+                relabel: dict[int, int] = {}
+                key = tuple([relabel.setdefault(lab[i], len(relabel))
+                             for i in keep])
+                if drop:        # classes left with no frontier node are loops
+                    delta += len({lab[i] for i in drop}.difference(relabel))
+                target = nxt.get(key)
+                if target is None:
+                    nxt[key] = target = {}
+                get = target.get
+                for packed, count in table.items():
+                    packed += delta
+                    target[packed] = get(packed, 0) + count
+        layer = nxt
+        frontier = [ext[i] for i in keep]
+
+    const_loops = n_nodes - len(last)   # off the boundary and untouched
+    # Only boundary nodes are left on the frontier, so distinct entries
+    # give distinct boundary partitions and no key is met twice.
     hist: dict[tuple, int] = {}
-
-    def find(parent: list[int], i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # stack entries: (depth, parent snapshot, merges, vp, ip, vn, inn)
-    stack = [(0, list(range(n_nodes)), 0, 0, 0, 0, 0)]
-    while stack:
-        depth, parent, merges, vp, ip, vn, inn = stack.pop()
-        if depth == n:
-            if boundary:
-                classes: dict[int, list[int]] = {}
-                for pos, node in enumerate(boundary):
-                    classes.setdefault(find(parent, node), []).append(pos)
-                key = (vp, ip, vn, inn, n_nodes - merges - len(classes),
-                       tuple(tuple(c) for c in classes.values()))
-            else:
-                key = (vp, ip, vn, inn, n_nodes - merges)
-            hist[key] = hist.get(key, 0) + 1
-            continue
-        base = 4 * depth
-        oi = crossing_nodes[base]
-        oo = crossing_nodes[base + 1]
-        ui = crossing_nodes[base + 2]
-        uo = crossing_nodes[base + 3]
-        positive = signs[depth] > 0
-        for k in (0, 1, 2):
-            if k == 0:
-                pairs = ((oi, oo), (ui, uo))
-            elif k == 1:
-                pairs = ((oi, uo), (ui, oo))
-            else:
-                pairs = ((oi, ui), (oo, uo))
-            p2 = parent[:]
-            m2 = merges
-            for u, v in pairs:
-                ru = find(p2, u)
-                rv = find(p2, v)
-                if ru != rv:
-                    p2[ru] = rv
-                    m2 += 1
-            stack.append((
-                depth + 1, p2, m2,
-                vp + (1 if k == 0 and positive else 0),
-                ip + (1 if k == 1 and positive else 0),
-                vn + (1 if k == 0 and not positive else 0),
-                inn + (1 if k == 1 and not positive else 0),
-            ))
+    for state, table in layer.items():
+        tail = ()
+        if boundary:
+            label = dict(zip(frontier, state))
+            classes: dict[int, list[int]] = {}
+            for pos, node in enumerate(boundary):
+                # a boundary node no crossing touches is a class of its own
+                classes.setdefault(label.get(node, -1 - node), []).append(pos)
+            tail = (tuple(tuple(c) for c in classes.values()),)
+        for packed, count in table.items():
+            hist[(packed >> w & mask, packed >> 2 * w & mask,
+                  packed >> 3 * w & mask, packed >> 4 * w,
+                  (packed & mask) + const_loops) + tail] = count
     return hist

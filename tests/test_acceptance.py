@@ -314,6 +314,6 @@ def test_criterion_8_scale_check():
     if elapsed > 60:
         problems.append(f'evaluation took {elapsed:.1f}s')
     ok = report(8, not problems, '; '.join(problems) or
-                f'3^12 states in {elapsed:.2f}s (pure-python kernel, '
+                f'3^12 states in {elapsed:.2f}s (frontier DP kernel, '
                 f'single-threaded)')
     assert ok, problems

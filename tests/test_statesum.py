@@ -2,8 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weldskein.algebra import DeltaFraction
+from weldskein.diagram import parse
+from weldskein.moves import scramble
+from weldskein.skein import CoefficientSystem, State, bracket, state_value
 from weldskein.statesum import smoothing_histogram
+
+from conftest import CORPUS_TEXT
 
 
 def random_case(rng):
@@ -82,3 +90,53 @@ def test_bad_inputs_rejected():
         smoothing_histogram(2, [0, 1, 1, 2], [1])
     with pytest.raises(ValueError):
         smoothing_histogram(2, [0, 1, 1, 0], [1], [2])
+
+
+@st.composite
+def kernel_cases(draw):
+    """Up to 6 crossings on up to 10 nodes: nodes repeat within and across
+    crossings, some stay untouched, and 0-4 boundary nodes may repeat."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 10))
+    node = st.integers(0, m - 1)
+    nodes = draw(st.lists(node, min_size=4 * n, max_size=4 * n))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    boundary = draw(st.lists(node, max_size=4))
+    return m, nodes, signs, boundary
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_histogram_property_matches_brute_force(case):
+    assert smoothing_histogram(*case) == brute_force(*case)
+
+
+def test_crossing_order_does_not_matter():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, nodes, signs, boundary = random_case(rng)
+        perm = list(range(len(signs)))
+        rng.shuffle(perm)
+        shuffled = [v for j in perm for v in nodes[4 * j:4 * j + 4]]
+        moved = [signs[j] for j in perm]
+        assert smoothing_histogram(m, shuffled, moved, boundary) \
+            == smoothing_histogram(m, nodes, signs, boundary), perm
+
+
+def test_bracket_is_the_sum_of_state_values():
+    # scrambled corpus diagrams with virtual crossings or wens, <= 7 crossings
+    generic = CoefficientSystem.generic()
+    sizes = set()
+    for name in ('wen_hopf', 'wen_flip_pair', 'welded_mix', 'virtual_trefoil',
+                 'virtual_hopf'):
+        for seed in range(3):
+            d = scramble(parse(CORPUS_TEXT[name]), seed=seed, n_moves=12,
+                         size_cap=9)
+            if len(d.classical) > 7 or not (d.virtual_x or d.wens):
+                continue
+            sizes.add(len(d.classical))
+            total = DeltaFraction.from_int(0)
+            for digits in itertools.product(range(3), repeat=len(d.classical)):
+                total = total + state_value(d, State.from_digits(digits), generic)
+            assert bracket(d, generic) == total, (name, seed)
+    assert max(sizes) == 7
