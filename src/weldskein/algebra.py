@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as QQ
 from operator import add, xor
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 ORDINARY_NAMES = ('a', 'b', 'c', 'x', 'y', 'z', 't')
 INVOLUTIVE_NAMES = ('r', 'nu', 's')
@@ -39,6 +39,23 @@ class VariableMismatchError(ValueError):
 
 class SubstitutionError(ValueError):
     """Raised for substitutions that leave the representable ring."""
+
+
+def _mul_terms(t1, t2, n_ord, out=None):
+    """Product of two term maps, added into ``out`` (a new dict if None).
+
+    The first ``n_ord`` exponent slots add; the involutive slots after them
+    add modulo 2.  Zero coefficients may remain in the result.  This is the
+    one place where exponent vectors are multiplied.
+    """
+    terms = {} if out is None else out
+    split = [(e2[:n_ord], e2[n_ord:], c2) for e2, c2 in t2.items()]
+    for e1, c1 in t1.items():
+        o1, i1 = e1[:n_ord], e1[n_ord:]
+        for o2, i2, c2 in split:
+            exp = tuple(map(add, o1, o2)) + tuple(map(xor, i1, i2))
+            terms[exp] = terms.get(exp, 0) + c1 * c2
+    return terms
 
 
 class _SparsePoly:
@@ -133,14 +150,8 @@ class _SparsePoly:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        n = self._layout()[0]
-        terms: dict = {}
-        for e1, c1 in self._terms.items():
-            o1, i1 = e1[:n], e1[n:]
-            for e2, c2 in other._terms.items():
-                exp = tuple(map(add, o1, e2[:n])) + tuple(map(xor, i1, e2[n:]))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return self._new(terms)
+        return self._new(_mul_terms(self._terms, other._terms,
+                                    self._layout()[0]))
 
     __rmul__ = __mul__
 
@@ -183,9 +194,9 @@ class Polynomial(_SparsePoly):
                 continue
             if len(exp) != _WIDTH:
                 raise ValueError(f'exponent vector {exp} has wrong length for {NAMES}')
-            if any(e < 0 for e in exp):
+            if min(exp) < 0:
                 raise ValueError(f'negative exponent in {exp}')
-            if any(e > 1 for e in exp[_N_ORD:]):
+            if max(exp[_N_ORD:]) > 1:
                 raise ValueError(f'involutive exponent above 1 in {exp}')
             clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
@@ -219,17 +230,26 @@ class Polynomial(_SparsePoly):
             exp[NAMES.index(name)] = e
         return cls({tuple(exp): coeff})
 
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple['Polynomial', 'Polynomial']]) -> 'Polynomial':
+        """The sum of p * q over the pairs, accumulated in one term map."""
+        terms: dict = {}
+        for p, q in pairs:
+            _mul_terms(p._terms, q._terms, _N_ORD, terms)
+        return cls.zero()._new(terms)
+
     def __pow__(self, n: int) -> 'Polynomial':
         if n < 0:
             raise ValueError('negative polynomial power')
-        result = self._new({(0,) * _WIDTH: 1})
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self._new({(0,) * _WIDTH: 1}) if result is None else result
 
     # -- structure queries --------------------------------------------------
 
@@ -260,10 +280,15 @@ class Polynomial(_SparsePoly):
     def substitute(self, assignment: Mapping[str, Union['Polynomial', int]]) -> 'Polynomial':
         """Exact substitution of symbols by polynomials or integers.
 
-        Involutive symbols may only be replaced by +1 or -1.
+        Involutive symbols may only be replaced by +1 or -1.  This is a ring
+        homomorphism applied to the raw term map: each image power is formed
+        once, each term's image is its coefficient and kept symbols times
+        those powers, and all terms add into one map.
         """
         values: dict[int, Polynomial] = {}
         for name, val in assignment.items():
+            if name not in NAMES:
+                raise SubstitutionError(f'unknown symbol {name!r}; the symbols are {NAMES}')
             involutive = name in INVOLUTIVE_NAMES
             if isinstance(val, int):
                 if involutive and val not in (1, -1):
@@ -272,18 +297,28 @@ class Polynomial(_SparsePoly):
             elif involutive:
                 raise SubstitutionError(f'involutive symbol {name} needs a +-1 value')
             values[NAMES.index(name)] = val
-        out = self._new({})
+        slots = sorted(values)
+        powers: dict[tuple[int, int], dict] = {}
+        out: dict = {}
         for exp, coeff in self._terms.items():
-            factor = self._new({(0,) * _WIDTH: coeff})
-            rest = [0] * _WIDTH
-            for i, e in enumerate(exp):
-                if i in values:
-                    if e:
-                        factor = factor * values[i] ** e
-                else:
-                    rest[i] = e
-            out = out + factor * self._new({tuple(rest): 1})
-        return out
+            kept = list(exp)
+            factors = []
+            for i in slots:
+                e = exp[i]
+                if e:
+                    kept[i] = 0
+                    if (i, e) not in powers:
+                        powers[i, e] = (values[i] ** e)._terms
+                    factors.append(powers[i, e])
+            kept = tuple(kept)
+            if not factors:
+                out[kept] = out.get(kept, 0) + coeff
+                continue
+            image = {kept: coeff}
+            for power in factors[:-1]:
+                image = _mul_terms(image, power, _N_ORD)
+            _mul_terms(image, factors[-1], _N_ORD, out)
+        return self._new(out)
 
 
 def delta() -> Polynomial:

@@ -9,6 +9,11 @@ closed-diagram bracket (``statesum.smoothing_histogram``), with the endpoint
 edges kept open.  Verification substitutes a solved coefficient family
 and checks that every constraint holds identically.
 
+A closure is summed in one pass: each entry's coefficient is shifted by
+t^(loops + cycles) * r^parity * s^wen into a single term map, and the
+cycles are counted once per distinct state pairing by walking the state's
+and the closure's perfect matchings.
+
 Everything here runs with cleared denominators: generic coefficients x, y,
 z are free symbols, and substituting the solved family multiplies the other
 side of each equation by the appropriate delta power.
@@ -20,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from weldskein import statesum
 from weldskein.algebra import DeltaFraction, Polynomial, delta
-from weldskein.diagram import Tangle, UnionFind, check_valid, parse_tangle
+from weldskein.diagram import Tangle, check_valid, parse_tangle
 from weldskein.skein import (CoefficientSystem, _kernel_inputs,
                              state_term_builder)
 
@@ -95,6 +100,41 @@ def tangle_bracket(t: Tangle) -> TangleBracket:
     return TangleBracket(labels, entries, neg_count, len(d.wens) % 2)
 
 
+def _shifted_sum(items: Iterable[tuple[Polynomial, int, int]],
+                 wen_parity: int) -> Polynomial:
+    """Sum of coeff * t^loops * r^parity * s^wen_parity, in one pass."""
+    units: dict[tuple[int, int], Polynomial] = {}
+    products = []
+    for coeff, loops, parity in items:
+        if (loops, parity) not in units:
+            units[loops, parity] = Polynomial.monomial(1, t=loops, r=parity,
+                                                       s=wen_parity)
+        products.append((coeff, units[loops, parity]))
+    return Polynomial.sum_of_products(products)
+
+
+def _cycle_count(pairing: Pairing, partner: Mapping[str, str]) -> int:
+    """Closed curves formed by a state's strands and a closure's arcs.
+
+    Every class of a state pairing holds the two ends of one strand, so the
+    curves are the cycles that alternate between the two perfect matchings.
+    """
+    strand = {}
+    for u, v in pairing:
+        strand[u], strand[v] = v, u
+    cycles = 0
+    while strand:
+        cycles += 1
+        start, end = strand.popitem()
+        del strand[end]
+        lab = partner[end]
+        while lab != start:
+            end = strand.pop(lab)
+            del strand[end]
+            lab = partner[end]
+    return cycles
+
+
 def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     """Compose a closure pairing with each state pairing and sum the values.
 
@@ -105,39 +145,24 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     flat = [lab for p in pairs for lab in p]
     if sorted(flat) != sorted(tb.labels) or any(len(p) != 2 for p in pairs):
         raise ValueError('closure must be a perfect matching of the endpoints')
-    total = Polynomial.zero()
-    tvar = Polynomial.var('t')
-    rvar = Polynomial.var('r')
+    partner = {}
+    for u, v in pairs:
+        partner[u], partner[v] = v, u
+    cycles: dict[Pairing, int] = {}
+    items = []
     for (pairing, loops, parity), coeff in tb.entries.items():
-        uf = UnionFind(tb.labels)
-        for group in pairing:
-            group = sorted(group)
-            for other in group[1:]:
-                uf.union(group[0], other)
-        for u, v in pairs:
-            uf.union(u, v)
-        cycles = len(uf.roots())
-        value = coeff * tvar ** (loops + cycles)
-        if parity:
-            value = value * rvar
-        total = total + value
-    if tb.wen_parity:
-        total = total * Polynomial.var('s')
-    return total
+        if pairing not in cycles:
+            cycles[pairing] = _cycle_count(pairing, partner)
+        items.append((coeff, loops + cycles[pairing], parity))
+    return _shifted_sum(items, tb.wen_parity)
 
 
 def _pairing_values(tb: TangleBracket) -> dict[Pairing, Polynomial]:
     """Fold loops and parity into t/r powers, grouped by pairing."""
-    out: dict[Pairing, Polynomial] = {}
-    tvar = Polynomial.var('t')
-    rvar = Polynomial.var('r')
+    groups: dict[Pairing, list] = {}
     for (pairing, loops, parity), coeff in tb.entries.items():
-        value = coeff * tvar ** loops
-        if parity:
-            value = value * rvar
-        if tb.wen_parity:
-            value = value * Polynomial.var('s')
-        out[pairing] = out.get(pairing, Polynomial.zero()) + value
+        groups.setdefault(pairing, []).append((coeff, loops, parity))
+    out = {k: _shifted_sum(items, tb.wen_parity) for k, items in groups.items()}
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

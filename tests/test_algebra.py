@@ -10,6 +10,7 @@ from weldskein.algebra import (INVOLUTIVE_NAMES, NAMES, ORDINARY_NAMES,
                                PolyParseError, SubstitutionError,
                                VariableMismatchError, delta, divide_by_delta,
                                parse_fraction, parse_polynomial, to_alpha_beta)
+from weldskein.skein import CoefficientSystem
 
 
 def v(name):
@@ -133,6 +134,12 @@ class TestSubstitute:
             (a * r).substitute({'r': 2})
         with pytest.raises(SubstitutionError):
             (a * r).substitute({'r': b})
+
+    def test_unknown_symbol_named(self):
+        with pytest.raises(SubstitutionError, match="'q'"):
+            Polynomial.var('a').substitute({'q': 1})
+        with pytest.raises(SubstitutionError, match="'alpha'"):
+            DeltaFraction(a, 1).substitute({'alpha': b})
 
 
 class TestAlphaBeta:
@@ -322,3 +329,63 @@ class TestParsing:
     def test_parse_error_bad_denominator(self):
         with pytest.raises(PolyParseError):
             parse_fraction('a / (b - a)')
+
+
+# -- substitution as a ring homomorphism -----------------------------------------
+
+# the solved families' tables: monomial images
+SOLVED_TABLES = [CoefficientSystem.welded(nu_value).substitution()
+                 for nu_value in (None, 1, -1)]
+# non-monomial images
+FIXED_IMAGES = [delta(), a + b, nu * b, Polynomial.const(-2) * nu, -a, r * a - nu * b]
+
+
+def assignments():
+    ordinary = st.dictionaries(
+        st.sampled_from(ORDINARY_NAMES),
+        st.one_of(st.sampled_from(FIXED_IMAGES), st.integers(-3, 3),
+                  st.lists(monomials(), max_size=3).map(
+                      lambda items: Polynomial(dict(items)))),
+        max_size=3)
+    involutive = st.dictionaries(st.sampled_from(INVOLUTIVE_NAMES),
+                                 st.sampled_from([1, -1]), max_size=3)
+    table = st.sampled_from([{}] + SOLVED_TABLES)
+    return st.tuples(table, ordinary, involutive).map(
+        lambda parts: {**parts[0], **parts[1], **parts[2]})
+
+
+def points():
+    """Integer values for every symbol; the involutive ones are +-1."""
+    return st.tuples(st.tuples(*[st.integers(-4, 4)] * len(ORDINARY_NAMES)),
+                     st.tuples(*[st.sampled_from([1, -1])] * len(INVOLUTIVE_NAMES))
+                     ).map(lambda parts: dict(zip(NAMES, parts[0] + parts[1])))
+
+
+def evaluate(p, point):
+    total = 0
+    for exp, coeff in p.terms().items():
+        for name, e in zip(NAMES, exp):
+            coeff *= point[name] ** e
+        total += coeff
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), polynomials(), assignments(), st.integers(0, 3))
+def test_substitute_is_ring_homomorphism(p, q, sub, n):
+    def f(value):
+        return value.substitute(sub)
+    assert f(p + q) == f(p) + f(q)
+    assert f(p * q) == f(p) * f(q)
+    assert f(p ** n) == f(p) ** n
+    assert f(Polynomial.one()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), assignments(), points())
+def test_substitute_agrees_with_evaluation(p, sub, point):
+    images = {name: Polynomial.const(v) if isinstance(v, int) else v
+              for name, v in sub.items()}
+    moved = {name: evaluate(images[name], point) if name in images else value
+             for name, value in point.items()}
+    assert evaluate(p.substitute(sub), point) == evaluate(p, moved)

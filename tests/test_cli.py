@@ -187,3 +187,18 @@ class TestVerifyMoves:
         assert data['all_as_expected'] is True
         t4 = next(m for m in data['moves'] if m['move'] == 't4')
         assert t4['satisfied'] is False and t4['residuals']
+
+        assert run('verify-moves', '--mode', 'welded', '--nu', '1',
+                   '--json') == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data['all_as_expected'] is True
+        assert all(m['satisfied'] is not False for m in data['moves'])
+        t4 = next(m for m in data['moves'] if m['move'] == 't4')
+        assert t4['satisfied'] is True and not t4['residuals']
+
+        assert run('verify-moves', '--mode', 'welded', '--nu', 'sym',
+                   '--json') == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data['all_as_expected'] is True
+        t4 = next(m for m in data['moves'] if m['move'] == 't4')
+        assert t4['satisfied'] is False and t4['residuals']

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weldskein.diagram import (ClassicalCrossing, Diagram, ParseError,
+from weldskein.diagram import (ClassicalCrossing, Diagram, DiagramError, ParseError,
                                VirtualCrossing, Wen, components,
                                disjoint_union, parse, parse_tangle,
-                               serialize, validate, virtual_writhe,
+                               serialize, serialize_tangle, validate, virtual_writhe,
                                wen_count, writhe)
 from weldskein.moves import scramble
 
@@ -153,3 +155,52 @@ class TestParsing:
     def test_diagram_parser_rejects_tangles(self):
         with pytest.raises(ParseError):
             parse('end 1 in q\n')
+
+
+# -- parser fuzzing ---------------------------------------------------------------
+
+KEYWORDS = ('X+', 'X-', 'V', 'W', 'L', 'loop', 'end', 'in', 'out')
+LABELS = ('a', 'b', 'c', '1', '2', 'e1', 'm')
+JUNK = st.text(st.characters(max_codepoint=0x2030), max_size=4)
+
+
+def fuzz_lines():
+    token = st.one_of(st.sampled_from(KEYWORDS), st.sampled_from(LABELS), JUNK)
+    free = st.lists(token, max_size=6).map(' '.join)
+    # well-formed vertex and endpoint lines over a few labels, so that some
+    # texts parse, and lines with one argument too few or too many
+    label = st.sampled_from(LABELS[:4])
+    shaped = st.one_of(
+        st.tuples(st.sampled_from(('X+', 'X-', 'V')), label, label, label, label),
+        st.tuples(st.just('W'), label, label),
+        st.tuples(st.just('end'), label, st.sampled_from(('in', 'out')), label),
+        st.just(('loop',)),
+    ).map(' '.join)
+    arity = {'X+': 4, 'X-': 4, 'V': 4, 'W': 2, 'loop': 0, 'end': 3}
+    misshaped = st.sampled_from(sorted(arity)).flatmap(
+        lambda kw: st.sampled_from([n for n in (arity[kw] - 1, arity[kw] + 1) if n >= 0])
+        .flatmap(lambda n: st.lists(label, min_size=n, max_size=n))
+        .map(lambda args: ' '.join([kw, *args])))
+    corpus = st.sampled_from([line for text in CORPUS_TEXT.values()
+                              for line in text.splitlines()])
+    line = st.one_of(free, shaped, misshaped, corpus)
+    comment = st.one_of(st.just(''), JUNK.map(lambda junk: ' # ' + junk))
+    return st.lists(st.tuples(line, comment).map(''.join), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzz_lines(), st.sampled_from(['\n', '\r\n', '\n\n']))
+def test_parsers_fail_cleanly_and_roundtrip(lines, sep):
+    text = sep.join(lines)
+    try:
+        d = parse(text)
+    except (ParseError, DiagramError):
+        pass
+    else:
+        assert parse(serialize(d)) == d
+    try:
+        t = parse_tangle(text)
+    except (ParseError, DiagramError):
+        pass
+    else:
+        assert parse_tangle(serialize_tangle(t)) == t

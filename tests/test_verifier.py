@@ -2,9 +2,9 @@ import pytest
 
 from weldskein.algebra import (DeltaFraction, Polynomial, delta,
                                parse_polynomial)
-from weldskein.diagram import parse_tangle
+from weldskein.diagram import UnionFind, parse_tangle
 from weldskein.skein import CoefficientSystem
-from weldskein.verifier import (Constraint, builtin_moves, close,
+from weldskein.verifier import (Constraint, _pairing_values, builtin_moves, close,
                                 constraints_for, f1_branch_residuals,
                                 kink_coefficients, move_constraints,
                                 normalize_equation, pairing_tag,
@@ -216,3 +216,65 @@ class TestVerifySolution:
     def test_generic_family_rejected(self):
         with pytest.raises(ValueError):
             verify_solution(GENERIC)
+
+
+class TestClosureFormula:
+    """close and _pairing_values against the per-entry formula
+
+    sum of coeff * t^(loops + cycles) * r^parity * s^wen, with the cycles of
+    state pairing plus closure counted by a union-find per entry.
+    """
+
+    @staticmethod
+    def entry_value(tb, loops, parity, coeff):
+        t, r, s = (Polynomial.var(n) for n in ('t', 'r', 's'))
+        value = coeff * t ** loops
+        if parity:
+            value = value * r
+        if tb.wen_parity:
+            value = value * s
+        return value
+
+    def reference_close(self, tb, pairs):
+        total = Polynomial.zero()
+        for (pairing, loops, parity), coeff in tb.entries.items():
+            uf = UnionFind(tb.labels)
+            for group in pairing:
+                group = sorted(group)
+                for other in group[1:]:
+                    uf.union(group[0], other)
+            for u, v in pairs:
+                uf.union(u, v)
+            cycles = len(uf.roots())
+            total = total + self.entry_value(tb, loops + cycles, parity, coeff)
+        return total
+
+    def reference_pairing_values(self, tb):
+        out = {}
+        for (pairing, loops, parity), coeff in tb.entries.items():
+            out[pairing] = (out.get(pairing, Polynomial.zero())
+                            + self.entry_value(tb, loops, parity, coeff))
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    @pytest.mark.parametrize('name', sorted(builtin_moves()))
+    def test_every_move_and_matching(self, name):
+        schema = builtin_moves()[name]
+        for side in (schema.lhs, schema.rhs):
+            tb = tangle_bracket(parse_tangle(side))
+            for pairs in perfect_matchings(tb.labels):
+                assert close(tb, pairs) == self.reference_close(tb, pairs), pairs
+            assert _pairing_values(tb) == self.reference_pairing_values(tb)
+
+    def test_moves_cover_loops_parity_and_wens(self):
+        tbs = [tangle_bracket(parse_tangle(text)) for m in builtin_moves().values()
+               for text in (m.lhs, m.rhs)]
+        assert any(tb.wen_parity for tb in tbs)
+        assert any(parity for tb in tbs for _, _, parity in tb.entries)
+        assert any(loops for tb in tbs for _, loops, _ in tb.entries)
+
+    def test_closure_must_be_perfect_matching(self):
+        tb = tangle_bracket(parse_tangle(builtin_moves()['r2'].lhs))
+        for pairs in ([('1', '2')], [('1', '2'), ('3', '4'), ('1', '3')],
+                      [('1', '2', '3'), ('4',)], [('1', '2'), ('3', '3')]):
+            with pytest.raises(ValueError, match='perfect matching'):
+                close(tb, pairs)
