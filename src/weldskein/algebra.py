@@ -532,7 +532,7 @@ class LaurentPoly(_SparsePoly):
         if self.variables != ('alpha', 'beta'):
             raise ValueError('dehomogenize expects an alpha/beta Laurent polynomial')
         if self.homogeneous_degree() != 0:
-            raise ValueError('not homogeneous of degree 0')
+            raise ValueError(f'not homogeneous of degree 0: {self.render()}')
         terms = {}
         for (ea, eb, er, es), c in self._terms.items():
             key = (ea, er, es)

@@ -85,9 +85,10 @@ def cmd_eval(args) -> int:
         if args.form == 'lambda':
             if cs.kind != 'extended':
                 raise CliError('lambda output requires extended mode')
-            if lp.homogeneous_degree() != 0:
-                raise CliError(f'not homogeneous of degree 0: {lp.render()}', 2)
-            lp = lp.dehomogenize()
+            try:
+                lp = lp.dehomogenize()
+            except ValueError as exc:
+                raise CliError(str(exc), 2)
         rendered = lp.render()
     if args.json:
         _emit(json.dumps({'command': 'eval', 'input': args.input,

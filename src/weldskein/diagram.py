@@ -279,13 +279,11 @@ def parse(text: str) -> Diagram:
     d, boundary = parse_tangle_text(text)
     if boundary:
         raise ParseError(1, 1, "diagram file contains 'end' lines; use a tangle parser")
-    check_valid(d)
     return d
 
 
 def parse_tangle(text: str) -> Tangle:
     d, boundary = parse_tangle_text(text)
-    check_valid(d, boundary)
     return Tangle(d, tuple(boundary))
 
 

@@ -183,19 +183,19 @@ def _virtual_views(v: VirtualCrossing):
 
 def enumerate_sites(d: Diagram, kind: MoveKind) -> list[MoveSite]:
     """All positions where ``kind`` applies, in deterministic order."""
-    edges = d.edges()
     C, V, W = d.classical, d.virtual_x, d.wens
     sites: list[MoveSite] = []
 
     if kind in (MoveKind.R1A_PLUS, MoveKind.R1B_PLUS, MoveKind.V1_PLUS,
                 MoveKind.T1_PLUS):
-        sites = [MoveSite(kind, (e,)) for e in edges]
+        sites = [MoveSite(kind, (e,)) for e in d.edges()]
         if d.free_loops:
             # a crossing-free circle has no edges; kink it directly
             sites.append(MoveSite(kind, (), 'loop'))
         return sites
 
     if kind in (MoveKind.R2_PLUS, MoveKind.V2_PLUS):
+        edges = d.edges()
         return [MoveSite(kind, (e, f))
                 for e in edges for f in edges if e != f]
 

@@ -333,15 +333,11 @@ def y_lambda(d: Diagram, r: int = 1, s: int = 1):
     """Y in extended mode, pushed through alpha/beta and dehomogenized.
 
     A non-homogeneous alpha/beta image would mean an evaluator bug, so the
-    degree check failure propagates as an error rather than being swallowed.
+    ``ValueError`` of ``LaurentPoly.dehomogenize`` propagates rather than
+    being swallowed.
     """
     from weldskein.algebra import to_alpha_beta
     if r not in (1, -1) or s not in (1, -1):
         raise ValueError('r and s must be specialized to +-1')
     value = y_invariant(d, CoefficientSystem.extended())
-    value = value.substitute({'r': r, 's': s})
-    lp = to_alpha_beta(value)
-    if lp.homogeneous_degree() != 0:
-        raise ValueError(
-            f'alpha/beta image not homogeneous of degree 0: {lp.render()}')
-    return lp.dehomogenize()
+    return to_alpha_beta(value.substitute({'r': r, 's': s})).dehomogenize()

@@ -1,18 +1,18 @@
 """Symbolic re-derivation of the coefficient constraints behind invariance.
 
-Each move is a pair of tangles with matching endpoint labels.  Expanding
-both sides into states grouped by induced endpoint pairing (plus closed-loop
-count and virtual parity) and either comparing per pairing or closing with
-every perfect matching of the endpoints yields polynomial constraints on the
-skein coefficients.  The expansion runs on the same state-sum kernel as the
-closed-diagram bracket (``statesum.smoothing_histogram``), with the endpoint
-edges kept open.  Verification substitutes a solved coefficient family
-and checks that every constraint holds identically.
+Each move is a pair of tangles with matching endpoint labels.  A tangle's
+bracket is one polynomial per induced endpoint pairing: every state adds
+coeff * t^loops * r^parity * s^wen to the entry of its pairing.  Comparing
+the two sides per pairing, or closing both with every perfect matching of
+the endpoints, yields polynomial constraints on the skein coefficients.
+The expansion runs on the same state-sum kernel as the closed-diagram
+bracket (``statesum.smoothing_histogram``), with the endpoint edges kept
+open.  Verification substitutes a solved coefficient family and checks
+that every constraint holds identically.
 
-A closure is summed in one pass: each entry's coefficient is shifted by
-t^(loops + cycles) * r^parity * s^wen into a single term map, and the
-cycles are counted once per distinct state pairing by walking the state's
-and the closure's perfect matchings.
+A closure multiplies each pairing's entry by t^cycles, where the cycles
+are the closed curves that the state's strands form with the closure's
+arcs, counted by walking the two perfect matchings.
 
 Everything here runs with cleared denominators: generic coefficients x, y,
 z are free symbols, and substituting the solved family multiplies the other
@@ -54,18 +54,19 @@ def pairing_tag(pairs: Iterable[Iterable[str]]) -> str:
 
 @dataclass
 class TangleBracket:
-    """State sum of a tangle, grouped by reduced boundary data.
+    """State sum of a tangle: one polynomial per endpoint pairing.
 
-    Keys are (pairing, closed-loop count, virtual parity); values are
-    polynomial coefficients with denominators cleared (each negative
-    crossing contributed its numerator; ``neg_count`` records the implicit
-    delta power).
+    Each state contributes coeff * t^loops * r^parity * s^wen to the entry
+    of the pairing it induces on the endpoints, where loops counts its
+    closed curves and parity its virtual crossings, kept and introduced,
+    modulo 2.  Entries are nonzero, and denominators are cleared: each
+    negative crossing contributed its numerator, and ``neg_count`` records
+    the implicit delta power.
     """
 
     labels: tuple[str, ...]
-    entries: dict[tuple[Pairing, int, int], Polynomial]
+    entries: dict[Pairing, Polynomial]
     neg_count: int
-    wen_parity: int
 
 
 def tangle_bracket(t: Tangle) -> TangleBracket:
@@ -84,33 +85,22 @@ def tangle_bracket(t: Tangle) -> TangleBracket:
     hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
                                         boundary_nodes)
     neg_count = sum(1 for s in signs if s < 0)
+    v_d = len(d.virtual_x)
+    wen_parity = len(d.wens) % 2
     term = state_term_builder(CoefficientSystem.generic(),
                               len(signs) - neg_count, neg_count)
-    grouped: dict[tuple[Pairing, int, int], dict] = {}
+    grouped: dict[Pairing, dict] = {}
     for key, count in hist.items():
         vp, ip, vn, inn, loops = key[:5]
         partition = key[5] if labels else ()     # no endpoints: a closed diagram
         pairing = frozenset(frozenset(labels[i] for i in cls) for cls in partition)
-        exp, coeff = term(vp, ip, vn, inn, 0, 0, 0)
-        terms = grouped.setdefault(
-            (pairing, loops + const_loops, (len(d.virtual_x) + vp + vn) % 2), {})
+        exp, coeff = term(vp, ip, vn, inn, loops + const_loops,
+                          (v_d + vp + vn) % 2, wen_parity)
+        terms = grouped.setdefault(pairing, {})
         terms[exp] = terms.get(exp, 0) + count * coeff
     entries = {k: Polynomial(terms) for k, terms in grouped.items()}
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
-    return TangleBracket(labels, entries, neg_count, len(d.wens) % 2)
-
-
-def _shifted_sum(items: Iterable[tuple[Polynomial, int, int]],
-                 wen_parity: int) -> Polynomial:
-    """Sum of coeff * t^loops * r^parity * s^wen_parity, in one pass."""
-    units: dict[tuple[int, int], Polynomial] = {}
-    products = []
-    for coeff, loops, parity in items:
-        if (loops, parity) not in units:
-            units[loops, parity] = Polynomial.monomial(1, t=loops, r=parity,
-                                                       s=wen_parity)
-        products.append((coeff, units[loops, parity]))
-    return Polynomial.sum_of_products(products)
+    return TangleBracket(labels, entries, neg_count)
 
 
 def _cycle_count(pairing: Pairing, partner: Mapping[str, str]) -> int:
@@ -138,8 +128,9 @@ def _cycle_count(pairing: Pairing, partner: Mapping[str, str]) -> int:
 def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     """Compose a closure pairing with each state pairing and sum the values.
 
-    Returns the cleared-denominator polynomial (implicit delta power is
-    ``tb.neg_count``).
+    Each pairing's entry gains one loop per closed curve that its strands
+    form with the closure's arcs.  Returns the cleared-denominator
+    polynomial (implicit delta power is ``tb.neg_count``).
     """
     pairs = [tuple(p) for p in pairs]
     flat = [lab for p in pairs for lab in p]
@@ -148,22 +139,11 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     partner = {}
     for u, v in pairs:
         partner[u], partner[v] = v, u
-    cycles: dict[Pairing, int] = {}
-    items = []
-    for (pairing, loops, parity), coeff in tb.entries.items():
-        if pairing not in cycles:
-            cycles[pairing] = _cycle_count(pairing, partner)
-        items.append((coeff, loops + cycles[pairing], parity))
-    return _shifted_sum(items, tb.wen_parity)
-
-
-def _pairing_values(tb: TangleBracket) -> dict[Pairing, Polynomial]:
-    """Fold loops and parity into t/r powers, grouped by pairing."""
-    groups: dict[Pairing, list] = {}
-    for (pairing, loops, parity), coeff in tb.entries.items():
-        groups.setdefault(pairing, []).append((coeff, loops, parity))
-    out = {k: _shifted_sum(items, tb.wen_parity) for k, items in groups.items()}
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    # every curve runs through at least one closure arc
+    powers = [Polynomial.monomial(1, t=k) for k in range(len(pairs) + 1)]
+    return Polynomial.sum_of_products(
+        (value, powers[_cycle_count(pairing, partner)])
+        for pairing, value in tb.entries.items())
 
 
 # -- constraints ----------------------------------------------------------------
@@ -361,14 +341,13 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
         raise ValueError('endpoint labels differ between the sides')
     constraints = []
     if method == 'pairing':
-        lvals = _pairing_values(ltb)
-        rvals = _pairing_values(rtb)
         n_closures = len(perfect_matchings(ltb.labels))
-        for pairing in sorted(set(lvals) | set(rvals), key=pairing_tag):
+        for pairing in sorted(set(ltb.entries) | set(rtb.entries),
+                              key=pairing_tag):
             constraints.append(Constraint(
                 pairing_tag(pairing),
-                lvals.get(pairing, Polynomial.zero()),
-                rvals.get(pairing, Polynomial.zero()),
+                ltb.entries.get(pairing, Polynomial.zero()),
+                rtb.entries.get(pairing, Polynomial.zero()),
                 ltb.neg_count, rtb.neg_count, dw, dv))
     elif method == 'closure':
         matchings = perfect_matchings(ltb.labels)
@@ -403,8 +382,7 @@ def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFr
     for name in ('r1a', 'r1b'):
         schema = builtin_moves()[name]
         tb = tangle_bracket(parse_tangle(schema.lhs))
-        vals = _pairing_values(tb)
-        [(pairing, poly)] = vals.items()
+        [(pairing, poly)] = tb.entries.items()
         out.append(DeltaFraction(poly.substitute(subst), tb.neg_count))
     return out[0], out[1]
 

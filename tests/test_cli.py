@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction as QQ
 
 import pytest
 
 from weldskein import cli
 from weldskein import moves as mv
+from weldskein.algebra import LaurentPoly
 from weldskein.diagram import parse
 
 from conftest import CORPUS_TEXT
@@ -42,6 +44,17 @@ class TestEval:
     def test_lambda_requires_extended(self, files, capsys):
         assert run('eval', files['hopf_pos'], '--mode', 'welded', '--nu', '-1',
                    '--form', 'lambda') == 1
+
+    def test_lambda_inhomogeneous_image_exits_2(self, files, capsys,
+                                                 monkeypatch):
+        # no diagram reaches this today: a degree-2 image stands in for an
+        # evaluator bug
+        lp = LaurentPoly(('alpha', 'beta'), {(1, 1, 0, 0): QQ(3, 2)})
+        monkeypatch.setattr(cli, 'to_alpha_beta', lambda value: lp)
+        assert run('eval', files['trefoil'], '--form', 'lambda') == 2
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert err == 'error: not homogeneous of degree 0: 3/2*alpha*beta\n'
 
     def test_wens_rejected_under_welded_minus(self, files, capsys):
         assert run('eval', files['wen_hopf'], '--mode', 'welded',

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from weldskein.algebra import (DeltaFraction, Polynomial, delta,
                                parse_polynomial)
-from weldskein.diagram import UnionFind, parse_tangle
-from weldskein.skein import CoefficientSystem
-from weldskein.verifier import (Constraint, _pairing_values, builtin_moves, close,
+from weldskein.diagram import UnionFind, parse_tangle, pass_through
+from weldskein.skein import SMOOTHINGS, CoefficientSystem, smoothing_pairs
+from weldskein.verifier import (Constraint, builtin_moves, close,
                                 constraints_for, f1_branch_residuals,
                                 kink_coefficients, move_constraints,
                                 normalize_equation, pairing_tag,
@@ -43,7 +45,7 @@ class TestTangleBracket:
     def test_single_strand(self):
         t = parse_tangle('end 1 in q\nend 2 out q\n')
         tb = tangle_bracket(t)
-        key = (frozenset({frozenset({'1', '2'})}), 0, 0)
+        key = frozenset({frozenset({'1', '2'})})
         assert set(tb.entries) == {key}
         assert tb.entries[key] == Polynomial.one()
 
@@ -51,21 +53,16 @@ class TestTangleBracket:
         t = parse_tangle('X+ p1 p3 p2 p4\n'
                          'end 1 in p1\nend 2 in p2\nend 3 out p3\nend 4 out p4\n')
         tb = tangle_bracket(t)
-        by_pairing = {}
-        for (pairing, loops, parity), coeff in tb.entries.items():
-            assert loops == 0
-            by_pairing[pairing_tag(pairing)] = coeff
-        # virtualize keeps the transversal pairing, parallel the vertical
-        # one, cup-cap joins inputs together
-        assert by_pairing['13:24'] == poly('a')
-        assert by_pairing['14:23'] == poly('b')
-        assert by_pairing['12:34'] == poly('c')
+        by_pairing = {pairing_tag(k): v for k, v in tb.entries.items()}
+        # virtualize keeps the transversal pairing and adds a virtual
+        # crossing, parallel the vertical one, cup-cap joins inputs together
+        assert by_pairing == {'13:24': poly('a*r'), '14:23': poly('b'),
+                              '12:34': poly('c')}
 
     def test_r2_composite_coefficients(self):
         schema = builtin_moves()['r2']
-        from weldskein.verifier import _pairing_values
-        vals = _pairing_values(tangle_bracket(parse_tangle(schema.lhs)))
-        tagged = {pairing_tag(k): v for k, v in vals.items()}
+        tb = tangle_bracket(parse_tangle(schema.lhs))
+        tagged = {pairing_tag(k): v for k, v in tb.entries.items()}
         assert same_up_to_unit(tagged['13:24'], poly('a*x + b*y'))
         assert same_up_to_unit(tagged['14:23'], poly('a*y + b*x'))
         assert same_up_to_unit(tagged['12:34'],
@@ -218,26 +215,60 @@ class TestVerifySolution:
             verify_solution(GENERIC)
 
 
-class TestClosureFormula:
-    """close and _pairing_values against the per-entry formula
+def state_sum_by_pairing(tangle):
+    """The generic bracket of a tangle, one smoothing state at a time.
 
-    sum of coeff * t^(loops + cycles) * r^parity * s^wen, with the cycles of
-    state pairing plus closure counted by a union-find per entry.
+    Each state's strands are traced with a union-find over the edges; the
+    state adds coeff * t^loops * r^parity * s^wen to the entry of the
+    pairing its strands induce on the endpoints.
+    """
+    d = tangle.diagram
+    t, r, s = (Polynomial.var(n) for n in ('t', 'r', 's'))
+    out = {}
+    for assignment in itertools.product(SMOOTHINGS, repeat=len(d.classical)):
+        uf = pass_through(d)
+        for e in d.edges():
+            uf.find(e)
+        value = Polynomial.one()
+        for c, sm in zip(d.classical, assignment):
+            for e1, e2 in smoothing_pairs(c, sm):
+                uf.union(e1, e2)
+            names = 'abc' if c.sign > 0 else 'xyz'
+            value = value * Polynomial.var(names[SMOOTHINGS.index(sm)])
+        ends = {}
+        for label, _, e in tangle.boundary:
+            ends.setdefault(uf.find(e), set()).add(label)
+        pairing = frozenset(frozenset(labels) for labels in ends.values())
+        loops = len(uf.roots() - set(ends)) + d.free_loops
+        value = value * t ** loops
+        if (len(d.virtual_x) + assignment.count('V')) % 2:
+            value = value * r
+        if len(d.wens) % 2:
+            value = value * s
+        out[pairing] = out.get(pairing, Polynomial.zero()) + value
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize('name', sorted(builtin_moves()))
+def test_tangle_bracket_matches_per_state_sum(name):
+    schema = builtin_moves()[name]
+    for side in (schema.lhs, schema.rhs):
+        tangle = parse_tangle(side)
+        assert len(tangle.diagram.classical) <= 3
+        assert tangle_bracket(tangle).entries == state_sum_by_pairing(tangle)
+
+
+class TestClosureFormula:
+    """close against the per-pairing formula
+
+    sum of entry * t^cycles, with the cycles of state pairing plus closure
+    counted by a union-find per pairing.
     """
 
-    @staticmethod
-    def entry_value(tb, loops, parity, coeff):
-        t, r, s = (Polynomial.var(n) for n in ('t', 'r', 's'))
-        value = coeff * t ** loops
-        if parity:
-            value = value * r
-        if tb.wen_parity:
-            value = value * s
-        return value
-
     def reference_close(self, tb, pairs):
+        t = Polynomial.var('t')
         total = Polynomial.zero()
-        for (pairing, loops, parity), coeff in tb.entries.items():
+        for pairing, value in tb.entries.items():
             uf = UnionFind(tb.labels)
             for group in pairing:
                 group = sorted(group)
@@ -245,16 +276,8 @@ class TestClosureFormula:
                     uf.union(group[0], other)
             for u, v in pairs:
                 uf.union(u, v)
-            cycles = len(uf.roots())
-            total = total + self.entry_value(tb, loops + cycles, parity, coeff)
+            total = total + value * t ** len(uf.roots())
         return total
-
-    def reference_pairing_values(self, tb):
-        out = {}
-        for (pairing, loops, parity), coeff in tb.entries.items():
-            out[pairing] = (out.get(pairing, Polynomial.zero())
-                            + self.entry_value(tb, loops, parity, coeff))
-        return {k: v for k, v in out.items() if not v.is_zero()}
 
     @pytest.mark.parametrize('name', sorted(builtin_moves()))
     def test_every_move_and_matching(self, name):
@@ -263,14 +286,13 @@ class TestClosureFormula:
             tb = tangle_bracket(parse_tangle(side))
             for pairs in perfect_matchings(tb.labels):
                 assert close(tb, pairs) == self.reference_close(tb, pairs), pairs
-            assert _pairing_values(tb) == self.reference_pairing_values(tb)
 
     def test_moves_cover_loops_parity_and_wens(self):
-        tbs = [tangle_bracket(parse_tangle(text)) for m in builtin_moves().values()
-               for text in (m.lhs, m.rhs)]
-        assert any(tb.wen_parity for tb in tbs)
-        assert any(parity for tb in tbs for _, _, parity in tb.entries)
-        assert any(loops for tb in tbs for _, loops, _ in tb.entries)
+        values = [v for m in builtin_moves().values()
+                  for text in (m.lhs, m.rhs)
+                  for v in tangle_bracket(parse_tangle(text)).entries.values()]
+        for name in ('t', 'r', 's'):
+            assert any(v.uses(name) for v in values), name
 
     def test_closure_must_be_perfect_matching(self):
         tb = tangle_bracket(parse_tangle(builtin_moves()['r2'].lhs))
