@@ -179,25 +179,92 @@ def _virtual_views(v: VirtualCrossing):
 
 
 # -- site enumeration -----------------------------------------------------------
+#
+# Insertion sites are counted, not listed: site i of a single-edge kind is
+# the i-th edge of ``d.edges()`` (or the free-loop site at i = E), site i of
+# a pair kind is the ordered pair divmod(i, E - 1) names.  Removal and slide
+# kinds are matched by following edges through ``_edge_index``.
+
+_EDGE_PAIR_KINDS = (MoveKind.R2_PLUS, MoveKind.V2_PLUS)
+
+
+def _insertion_count(kind: MoveKind, edges: list[str], free_loops: int) -> int:
+    """How many sites an insertion kind has on a diagram with ``edges``."""
+    n = len(edges)
+    if kind in _EDGE_PAIR_KINDS:
+        return n * (n - 1)
+    return n + (1 if free_loops else 0)
+
+
+def _insertion_site(kind: MoveKind, edges: list[str], i: int) -> MoveSite:
+    """The ``i``-th site of an insertion kind, in ``enumerate_sites`` order."""
+    n = len(edges)
+    if kind in _EDGE_PAIR_KINDS:
+        q, r = divmod(i, n - 1)     # every edge but edges[q], in order
+        return MoveSite(kind, (edges[q], edges[r + (r >= q)]))
+    if i == n:
+        # a crossing-free circle has no edges; kink it directly
+        return MoveSite(kind, (), 'loop')
+    return MoveSite(kind, (edges[i],))
+
+
+_NO_VERTEX = ('', -1, -1)
+_last_index: tuple = (None, None)
+
+
+def _edge_index(d: Diagram):
+    """Two maps, edge -> (vertex kind, index, slot), for the vertex that
+    consumes the edge and the one that produces it.
+
+    The vertex kind is 'c', 'v' or 'w'; slot 0 is the over strand of a
+    classical crossing or the a strand of a virtual one, slot 1 the under
+    or b strand, and a wen has slot 0.  So a virtual crossing consuming
+    ``e`` at slot s has ``_virtual_views(v)[s][0] == e`` and
+    ``_virtual_views(v)[1 - s][2] == e``; producing it, ``[s][1]`` and
+    ``[1 - s][3]``.  A valid diagram has one of each per edge.
+
+    A scramble step lists every removal and slide kind on one diagram, so
+    the index of the last diagram asked for is kept and reused while the
+    same object is asked for again.  Diagrams are immutable, so the kept
+    index never goes stale and no caller can see it.
+    """
+    global _last_index
+    last, maps = _last_index
+    if last is d:
+        return maps
+    into: dict[str, tuple] = {}
+    out: dict[str, tuple] = {}
+    for i, c in enumerate(d.classical):
+        into[c.over_in] = ('c', i, 0)
+        into[c.under_in] = ('c', i, 1)
+        out[c.over_out] = ('c', i, 0)
+        out[c.under_out] = ('c', i, 1)
+    for i, v in enumerate(d.virtual_x):
+        into[v.a_in] = ('v', i, 0)
+        into[v.b_in] = ('v', i, 1)
+        out[v.a_out] = ('v', i, 0)
+        out[v.b_out] = ('v', i, 1)
+    for i, w in enumerate(d.wens):
+        into[w.w_in] = ('w', i, 0)
+        out[w.w_out] = ('w', i, 0)
+    _last_index = (d, (into, out))
+    return into, out
 
 
 def enumerate_sites(d: Diagram, kind: MoveKind) -> list[MoveSite]:
-    """All positions where ``kind`` applies, in deterministic order."""
+    """All positions where ``kind`` applies, in deterministic order.
+
+    Sites come sorted by anchors, then by variant in the order each kind's
+    pattern meets them.  ``d`` must be valid: removal and slide kinds
+    follow each edge to its one producer and one consumer.
+    """
     C, V, W = d.classical, d.virtual_x, d.wens
     sites: list[MoveSite] = []
 
-    if kind in (MoveKind.R1A_PLUS, MoveKind.R1B_PLUS, MoveKind.V1_PLUS,
-                MoveKind.T1_PLUS):
-        sites = [MoveSite(kind, (e,)) for e in d.edges()]
-        if d.free_loops:
-            # a crossing-free circle has no edges; kink it directly
-            sites.append(MoveSite(kind, (), 'loop'))
-        return sites
-
-    if kind in (MoveKind.R2_PLUS, MoveKind.V2_PLUS):
+    if kind in INSERTION_KINDS:
         edges = d.edges()
-        return [MoveSite(kind, (e, f))
-                for e in edges for f in edges if e != f]
+        return [_insertion_site(kind, edges, i)
+                for i in range(_insertion_count(kind, edges, d.free_loops))]
 
     if kind in (MoveKind.R1A_MINUS, MoveKind.R1B_MINUS):
         want = 1 if kind is MoveKind.R1A_MINUS else -1
@@ -211,101 +278,6 @@ def enumerate_sites(d: Diagram, kind: MoveKind) -> list[MoveSite]:
         for i, v in enumerate(V):
             if v.a_out == v.b_in or v.b_out == v.a_in:
                 sites.append(MoveSite(kind, (i,)))
-        return sites
-
-    if kind is MoveKind.T1_MINUS:
-        for i, w1 in enumerate(W):
-            for j, w2 in enumerate(W):
-                if i != j and w1.w_out == w2.w_in:
-                    sites.append(MoveSite(kind, (i, j)))
-        return sites
-
-    if kind is MoveKind.R2_MINUS:
-        for i, c1 in enumerate(C):
-            for j, c2 in enumerate(C):
-                if i == j or c1.sign != -c2.sign:
-                    continue
-                if c1.over_out == c2.over_in and c1.under_out == c2.under_in:
-                    sites.append(MoveSite(kind, (i, j)))
-        return sites
-
-    if kind is MoveKind.V2_MINUS:
-        for i, v1 in enumerate(V):
-            for j, v2 in enumerate(V):
-                if i == j:
-                    continue
-                for k1, view1 in enumerate(_virtual_views(v1)):
-                    for k2, view2 in enumerate(_virtual_views(v2)):
-                        if view1[1] == view2[0] and view1[3] == view2[2]:
-                            sites.append(MoveSite(kind, (i, j), f'{k1}{k2}'))
-        return sites
-
-    if kind is MoveKind.R3:
-        for i, c1 in enumerate(C):
-            for j, c2 in enumerate(C):
-                for k, c3 in enumerate(C):
-                    if len({i, j, k}) < 3:
-                        continue
-                    if not (c1.sign == c2.sign == c3.sign):
-                        continue
-                    if (c1.over_out == c2.over_in and c1.under_out == c3.over_in
-                            and c2.under_out == c3.under_in):
-                        sites.append(MoveSite(kind, (i, j, k), 'L'))
-                    if (c1.under_out == c2.under_in and c2.over_out == c3.over_in
-                            and c1.over_out == c3.under_in):
-                        sites.append(MoveSite(kind, (i, j, k), 'R'))
-        return sites
-
-    if kind is MoveKind.V3:
-        for i, v1 in enumerate(V):
-            for j, v2 in enumerate(V):
-                for k, v3 in enumerate(V):
-                    if len({i, j, k}) < 3:
-                        continue
-                    for a1, w1 in enumerate(_virtual_views(v1)):
-                        for a2, w2 in enumerate(_virtual_views(v2)):
-                            for a3, w3 in enumerate(_virtual_views(v3)):
-                                if (w1[1] == w2[0] and w1[3] == w3[0]
-                                        and w2[3] == w3[2]):
-                                    sites.append(MoveSite(
-                                        kind, (i, j, k), f'L{a1}{a2}{a3}'))
-                                if (w1[1] == w3[2] and w1[3] == w2[2]
-                                        and w2[1] == w3[0]):
-                                    sites.append(MoveSite(
-                                        kind, (i, j, k), f'R{a1}{a2}{a3}'))
-        return sites
-
-    if kind is MoveKind.M:
-        for i, v1 in enumerate(V):
-            for j, v2 in enumerate(V):
-                if i == j:
-                    continue
-                for k, c in enumerate(C):
-                    for a1, w1 in enumerate(_virtual_views(v1)):
-                        for a2, w2 in enumerate(_virtual_views(v2)):
-                            if (w1[1] == w2[0] and w1[3] == c.over_in
-                                    and w2[3] == c.under_in):
-                                sites.append(MoveSite(
-                                    kind, (i, j, k), f'L{a1}{a2}'))
-                            if (c.over_out == w2[2] and c.under_out == w1[2]
-                                    and w1[1] == w2[0]):
-                                sites.append(MoveSite(
-                                    kind, (i, j, k), f'R{a1}{a2}'))
-        return sites
-
-    if kind is MoveKind.F1:
-        for i, c1 in enumerate(C):
-            for j, c2 in enumerate(C):
-                if i == j or c1.sign != 1 or c2.sign != 1:
-                    continue
-                if c1.over_out != c2.over_in:
-                    continue
-                for k, v in enumerate(V):
-                    for a, view in enumerate(_virtual_views(v)):
-                        if view[0] == c1.under_out and view[2] == c2.under_out:
-                            sites.append(MoveSite(kind, (i, j, k), f'L{a}'))
-                        if view[1] == c2.under_in and view[3] == c1.under_in:
-                            sites.append(MoveSite(kind, (i, j, k), f'R{a}'))
         return sites
 
     if kind is MoveKind.T2:
@@ -327,27 +299,155 @@ def enumerate_sites(d: Diagram, kind: MoveKind) -> list[MoveSite]:
                     sites.append(MoveSite(kind, (i, j), 'A'))
         return sites
 
-    if kind is MoveKind.T4:
-        for i, c in enumerate(C):
-            for j, w1 in enumerate(W):
-                for k, w2 in enumerate(W):
-                    if j == k:
-                        continue
-                    if c.over_out == w1.w_in and c.under_out == w2.w_in:
-                        sites.append(MoveSite(kind, (i, j, k), 'out'))
-                    if w1.w_out == c.over_in and w2.w_out == c.under_in:
-                        sites.append(MoveSite(kind, (i, j, k), 'in'))
-        return sites
+    into, out = _edge_index(d)
+    # (anchors, order within anchors, variant): sorting puts each kind's
+    # variants of one anchor tuple in pattern order, L before R
+    found = []
 
-    raise ValueError(f'unknown move kind {kind!r}')
+    if kind is MoveKind.T1_MINUS:
+        # w1 feeds w2
+        for i, w in enumerate(W):
+            vk, j, _ = into.get(w.w_out, _NO_VERTEX)
+            if vk == 'w' and j != i:
+                found.append(((i, j), (), ''))
+
+    elif kind is MoveKind.R2_MINUS:
+        # c1's over and under strands both run straight into c2
+        for i, c1 in enumerate(C):
+            vk, j, slot = into.get(c1.over_out, _NO_VERTEX)
+            if vk != 'c' or slot != 0 or j == i:
+                continue
+            c2 = C[j]
+            if c1.sign == -c2.sign and c1.under_out == c2.under_in:
+                found.append(((i, j), (), ''))
+
+    elif kind is MoveKind.V2_MINUS:
+        for i, v1 in enumerate(V):
+            for k1, view1 in enumerate(_virtual_views(v1)):
+                vk, j, k2 = into.get(view1[1], _NO_VERTEX)
+                if vk == 'v' and j != i and \
+                        _virtual_views(V[j])[k2][2] == view1[3]:
+                    found.append(((i, j), (), f'{k1}{k2}'))
+
+    elif kind is MoveKind.R3:
+        for i, c1 in enumerate(C):
+            # L: c1 over -> c2 over, c1 under -> c3 over, c2 under -> c3 under
+            vj, j, sj = into.get(c1.over_out, _NO_VERTEX)
+            vk, k, sk = into.get(c1.under_out, _NO_VERTEX)
+            if (vj == vk == 'c' and sj == sk == 0 and len({i, j, k}) == 3
+                    and c1.sign == C[j].sign == C[k].sign
+                    and C[j].under_out == C[k].under_in):
+                found.append(((i, j, k), (), 'L'))
+            # R: c1 under -> c2 under, c1 over -> c3 under, c2 over -> c3 over
+            vj, j, sj = into.get(c1.under_out, _NO_VERTEX)
+            vk, k, sk = into.get(c1.over_out, _NO_VERTEX)
+            if (vj == vk == 'c' and sj == sk == 1 and len({i, j, k}) == 3
+                    and c1.sign == C[j].sign == C[k].sign
+                    and C[j].over_out == C[k].over_in):
+                found.append(((i, j, k), (), 'R'))
+
+    elif kind is MoveKind.V3:
+        for i, v1 in enumerate(V):
+            for a1, w1 in enumerate(_virtual_views(v1)):
+                # L: w1[1] == w2[0], w1[3] == w3[0], w2[3] == w3[2]
+                vj, j, a2 = into.get(w1[1], _NO_VERTEX)
+                vk, k, a3 = into.get(w1[3], _NO_VERTEX)
+                if (vj == vk == 'v' and len({i, j, k}) == 3
+                        and _virtual_views(V[j])[a2][3]
+                        == _virtual_views(V[k])[a3][2]):
+                    found.append(((i, j, k), (a1, a2, a3),
+                                  f'L{a1}{a2}{a3}'))
+                # R: w1[1] == w3[2], w1[3] == w2[2], w2[1] == w3[0]
+                vk, k, s3 = into.get(w1[1], _NO_VERTEX)
+                vj, j, s2 = into.get(w1[3], _NO_VERTEX)
+                if vj == vk == 'v' and len({i, j, k}) == 3:
+                    a2, a3 = 1 - s2, 1 - s3
+                    if (_virtual_views(V[j])[a2][1]
+                            == _virtual_views(V[k])[a3][0]):
+                        found.append(((i, j, k), (a1, a2, a3),
+                                      f'R{a1}{a2}{a3}'))
+
+    elif kind is MoveKind.M:
+        for i, v1 in enumerate(V):
+            for a1, w1 in enumerate(_virtual_views(v1)):
+                # both patterns need w1[1] == w2[0]
+                vj, j, a2 = into.get(w1[1], _NO_VERTEX)
+                if vj != 'v' or j == i:
+                    continue
+                w2 = _virtual_views(V[j])[a2]
+                # L: w1[3] == c.over_in, w2[3] == c.under_in
+                vk, k, slot = into.get(w1[3], _NO_VERTEX)
+                if vk == 'c' and slot == 0 and w2[3] == C[k].under_in:
+                    found.append(((i, j, k), (a1, a2), f'L{a1}{a2}'))
+                # R: c.under_out == w1[2], c.over_out == w2[2]
+                vk, k, slot = out.get(w1[2], _NO_VERTEX)
+                if vk == 'c' and slot == 1 and C[k].over_out == w2[2]:
+                    found.append(((i, j, k), (a1, a2), f'R{a1}{a2}'))
+
+    elif kind is MoveKind.F1:
+        for i, c1 in enumerate(C):
+            if c1.sign != 1:
+                continue
+            # c1.over_out == c2.over_in
+            vj, j, slot = into.get(c1.over_out, _NO_VERTEX)
+            if vj != 'c' or slot != 0 or j == i or C[j].sign != 1:
+                continue
+            c2 = C[j]
+            # L: view[0] == c1.under_out, view[2] == c2.under_out
+            vk, k, a = into.get(c1.under_out, _NO_VERTEX)
+            if vk == 'v' and _virtual_views(V[k])[a][2] == c2.under_out:
+                found.append(((i, j, k), (a,), f'L{a}'))
+            # R: view[1] == c2.under_in, view[3] == c1.under_in
+            vk, k, a = out.get(c2.under_in, _NO_VERTEX)
+            if vk == 'v' and _virtual_views(V[k])[a][3] == c1.under_in:
+                found.append(((i, j, k), (a,), f'R{a}'))
+
+    elif kind is MoveKind.T4:
+        for i, c in enumerate(C):
+            # out: c.over_out == w1.w_in, c.under_out == w2.w_in
+            vj, j, _ = into.get(c.over_out, _NO_VERTEX)
+            vk, k, _ = into.get(c.under_out, _NO_VERTEX)
+            if vj == vk == 'w' and j != k:
+                found.append(((i, j, k), (0,), 'out'))
+            # in: w1.w_out == c.over_in, w2.w_out == c.under_in
+            vj, j, _ = out.get(c.over_in, _NO_VERTEX)
+            vk, k, _ = out.get(c.under_in, _NO_VERTEX)
+            if vj == vk == 'w' and j != k:
+                found.append(((i, j, k), (1,), 'in'))
+
+    else:
+        raise ValueError(f'unknown move kind {kind!r}')
+
+    return [MoveSite(kind, anchors, variant)
+            for anchors, _, variant in sorted(found)]
 
 
 # -- application -----------------------------------------------------------------
 
 
+def _is_insertion_site(d: Diagram, site: MoveSite) -> bool:
+    """Whether ``site`` is in ``enumerate_sites(d, site.kind)``, an
+    insertion kind, without listing the sites."""
+    anchors = site.anchors
+    if site.variant == 'loop':
+        return (site.kind not in _EDGE_PAIR_KINDS and anchors == ()
+                and bool(d.free_loops))
+    if site.variant:
+        return False
+    edges = set(d.edges())
+    if site.kind in _EDGE_PAIR_KINDS:
+        return (len(anchors) == 2 and anchors[0] != anchors[1]
+                and anchors[0] in edges and anchors[1] in edges)
+    return len(anchors) == 1 and anchors[0] in edges
+
+
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     """Rewrite ``d`` at ``site``; raises MoveError for stale sites."""
-    if site not in enumerate_sites(d, site.kind):
+    if site.kind in INSERTION_KINDS:
+        fresh = _is_insertion_site(d, site)
+    else:
+        fresh = site in enumerate_sites(d, site.kind)
+    if not fresh:
         raise MoveError(f'site {site} does not match the diagram')
     return _apply_unchecked(d, site)
 
@@ -582,6 +682,11 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
     soft: above it no insertion is drawn (the walk ends early when no removal
     or slide applies), and one insertion adds at most two vertices, so the
     walk never grows past ``max(d.size(), size_cap) + 2`` vertices.
+    Each step picks a kind uniformly among those with a site, then a site
+    uniformly among that kind's.  Insertion sites are drawn by count and
+    index and never listed; removal and slide kinds are listed by
+    ``enumerate_sites``.  Either way the draw and the random stream are the
+    same as picking from the full lists, so a seed gives the same walk.
     Reproducible for a fixed seed.  ``wen_moves=False`` keeps to the
     wen-free move set, which is what the nu != 1 welded families are
     invariant under.
@@ -593,28 +698,40 @@ def scramble(d: Diagram, seed: int, n_moves: int, size_cap: int = 14,
             return kinds
         return tuple(k for k in kinds if k not in WEN_KINDS)
 
+    insertion, removal, slide = (allowed(INSERTION_KINDS),
+                                 allowed(REMOVAL_KINDS), allowed(SLIDE_KINDS))
+    shrinking = removal + slide
+    every = insertion + shrinking
+
     current = d
     for _ in range(n_moves):
         roll = rng.random()
         if current.size() <= size_cap:
-            groups = ([allowed(INSERTION_KINDS)] if roll < 0.6
-                      else [allowed(REMOVAL_KINDS + SLIDE_KINDS)])
-            groups.append(allowed(INSERTION_KINDS + REMOVAL_KINDS + SLIDE_KINDS))
+            groups = (insertion if roll < 0.6 else shrinking, every)
         else:
-            groups = ([allowed(REMOVAL_KINDS)] if roll < 0.8
-                      else [allowed(SLIDE_KINDS)])
-            groups.append(allowed(REMOVAL_KINDS + SLIDE_KINDS))
-        applied = False
+            groups = (removal if roll < 0.8 else slide, shrinking)
+        edges = None
+        count: dict[MoveKind, int] = {}
         sites_of: dict[MoveKind, list[MoveSite]] = {}
+        applied = False
         for group in groups:
             for k in group:
-                if k not in sites_of:
+                if k in count:
+                    continue
+                if k in INSERTION_KINDS:
+                    if edges is None:
+                        edges = current.edges()
+                    count[k] = _insertion_count(k, edges, current.free_loops)
+                else:
                     sites_of[k] = enumerate_sites(current, k)
-            kinds = [k for k in group if sites_of[k]]
+                    count[k] = len(sites_of[k])
+            kinds = [k for k in group if count[k]]
             if not kinds:
                 continue
-            sites = sites_of[rng.choice(kinds)]
-            site = sites[rng.randrange(len(sites))]
+            kind = rng.choice(kinds)
+            i = rng.randrange(count[kind])
+            site = (sites_of[kind][i] if kind in sites_of
+                    else _insertion_site(kind, edges, i))
             current = _apply_unchecked(current, site)
             applied = True
             break

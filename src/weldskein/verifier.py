@@ -232,10 +232,13 @@ class ConstraintSet:
     def deduplicated_equations(self) -> list[Polynomial]:
         """Distinct nonzero generic equations up to unit and content."""
         seen = {}
-        for c in self.nontrivial():
+        for c in self.constraints:
             if c.dw != 0:
                 continue
-            eq = normalize_equation(c.generic_equation())
+            eq = c.generic_equation()
+            if eq.is_zero():
+                continue
+            eq = normalize_equation(eq)
             key = frozenset(eq.terms().items())
             nkey = frozenset((-eq).terms().items())
             if key not in seen and nkey not in seen:

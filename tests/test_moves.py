@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weldskein.diagram import parse, validate, virtual_writhe, wen_count, writhe
-from weldskein.moves import (MoveError, MoveKind, MoveSite, apply_move,
+from weldskein.moves import (INSERTION_KINDS, MoveError, MoveKind, MoveSite,
+                             _insertion_count, _insertion_site, apply_move,
                              enumerate_sites, scramble)
 from weldskein.skein import CoefficientSystem, bracket, y_invariant
 
 from conftest import CORPUS_TEXT
+from scramble_reference import reference_scramble, reference_sites
 
 WSYM = CoefficientSystem.welded()
 EXT = CoefficientSystem.extended()
@@ -136,6 +140,29 @@ class TestApply:
         with pytest.raises(MoveError):
             apply_move(d, MoveSite(MoveKind.R2_MINUS, (0, 1)))
 
+    @pytest.mark.parametrize('site', [
+        MoveSite(MoveKind.R1A_PLUS, ('nope',)),
+        MoveSite(MoveKind.T1_PLUS, ('1',), 'loop'),
+        MoveSite(MoveKind.R2_PLUS, ('1', 'nope')),
+        MoveSite(MoveKind.R2_PLUS, ('1', '1')),
+        MoveSite(MoveKind.V2_PLUS, ('2', '2')),
+        MoveSite(MoveKind.V2_PLUS, ('1',)),
+        MoveSite(MoveKind.R1B_PLUS, (), 'loop'),
+        MoveSite(MoveKind.V1_PLUS, (), 'loop'),
+        MoveSite(MoveKind.R2_PLUS, (), 'loop'),
+    ], ids=str)
+    def test_stale_insertion_site_raises(self, site):
+        d = parse(CORPUS_TEXT['hopf_pos'])      # edges 1-4, no free loop
+        assert site not in enumerate_sites(d, site.kind)
+        with pytest.raises(MoveError, match='does not match the diagram'):
+            apply_move(d, site)
+
+    def test_fresh_insertion_sites_apply(self):
+        d = parse(CORPUS_TEXT['hopf_plus_loop'])
+        for kind in INSERTION_KINDS:
+            for site in enumerate_sites(d, kind):
+                assert validate(apply_move(d, site)) == []
+
     def test_closed_strand_removal_makes_free_loop(self):
         # dissolving the only crossing of a kinked circle leaves a free loop
         d = parse(CORPUS_TEXT['kink_pos'])
@@ -231,3 +258,40 @@ class TestScramble:
         for seed in range(10):
             s = scramble(d, seed=seed, n_moves=30, size_cap=12, wen_moves=False)
             assert not s.wens
+
+
+class TestReferenceOracle:
+    """The counted and edge-indexed sites against the nested-loop lists of
+    ``scramble_reference``."""
+
+    @pytest.mark.parametrize('name', sorted(CORPUS_TEXT))
+    def test_scramble_matches_reference(self, name):
+        d = parse(CORPUS_TEXT[name])
+        for size_cap in (12, 6):
+            for wen_moves in (True, False):
+                for seed in range(200):
+                    assert scramble(d, seed, 15, size_cap, wen_moves) \
+                        == reference_scramble(d, seed, 15, size_cap,
+                                              wen_moves), \
+                        (size_cap, wen_moves, seed)
+
+    # the corpus, plus the fixtures: scrambles of the corpus alone rarely
+    # show an F1 or V3 site
+    STARTS = (sorted(CORPUS_TEXT.values())
+              + sorted(text for text, _ in FIXTURES.values()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(STARTS), st.integers(0, 10 ** 6),
+           st.integers(0, 30), st.sampled_from((6, 12)), st.booleans())
+    def test_sites_match_reference(self, text, seed, n_moves, size_cap,
+                                   wen_moves):
+        d = scramble(parse(text), seed, n_moves, size_cap, wen_moves)
+        edges = d.edges()
+        for kind in MoveKind:
+            sites = enumerate_sites(d, kind)
+            assert sites == reference_sites(d, kind), kind
+            if kind in INSERTION_KINDS:
+                assert _insertion_count(kind, edges, d.free_loops) \
+                    == len(sites)
+                assert [_insertion_site(kind, edges, i)
+                        for i in range(len(sites))] == sites
