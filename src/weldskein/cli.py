@@ -45,20 +45,35 @@ def _parse_sets(pairs) -> dict[str, int]:
         out[name] = int(value)
     return out
 
+
+def _check_counts(args, *names: str) -> None:
+    """Reject negative values of the count options ``names``."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise CliError(f'--{name} must be at least 0, got {value}')
+
+
 def _load(path: str) -> dg.Diagram:
     try:
-        with open(path) as fh:
+        with open(path, encoding='utf-8') as fh:
             return dg.parse(fh.read())
     except OSError as exc:
         raise CliError(f'cannot read {path}: {exc}')
+    except UnicodeDecodeError as exc:
+        raise CliError(f'{path}: not UTF-8 text (byte '
+                       f'0x{exc.object[exc.start]:02x} at offset {exc.start})')
     except (ParseError, DiagramError) as exc:
         raise CliError(f'{path}: {exc}')
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, 'w') as fh:
-            fh.write(text if text.endswith('\n') else text + '\n')
+        try:
+            with open(out, 'w') as fh:
+                fh.write(text if text.endswith('\n') else text + '\n')
+        except OSError as exc:
+            raise CliError(f'cannot write {out}: {exc}')
     else:
         print(text)
 
@@ -130,6 +145,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_scramble(args) -> int:
+    _check_counts(args, 'moves')
     d = _load(args.input)
     out = mv.scramble(d, seed=args.seed, n_moves=args.moves,
                       size_cap=args.size_cap)
@@ -145,6 +161,7 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_check_invariance(args) -> int:
+    _check_counts(args, 'trials', 'moves')
     d = _load(args.input)
     cs = _coefficient_system(args)
     try:

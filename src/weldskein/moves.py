@@ -7,11 +7,18 @@ abstract code are sound.
 
 Insertion kinds apply to edges; removal and slide kinds match exact local
 wiring.  Every application returns a fresh valid diagram.
+
+The rewrites come in a few shapes: a kink (R1, V1, T1) or a cancelling pair
+(R2, V2) inserted on edges or dissolved, a triangle slide of one strand
+across a crossing (R3, V3, M, F1, which differ only in which crossings are
+virtual), and the wen moves T2-T4.  A ``_Builder`` records each rewrite as
+edits to the source diagram; it finds consumers through the same edge index
+that matches removal and slide sites.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from weldskein.diagram import (ClassicalCrossing, Diagram, VirtualCrossing,
@@ -64,83 +71,66 @@ class MoveSite:
 
 # -- rewrite plumbing ----------------------------------------------------------
 
+# the in-slot fields of each vertex kind, by strand (the slot of _edge_index)
+_IN_FIELDS = {'c': ('over_in', 'under_in'), 'v': ('a_in', 'b_in'),
+              'w': ('w_in',)}
+
 
 class _Builder:
-    """Mutable scratch copy of a diagram for one rewrite.
+    """One rewrite of a diagram, recorded as edits to it.
 
-    Call order matters: rewire the surviving consumer of a split edge before
-    adding the vertex that consumes the old edge id.
+    The source diagram is read, never copied: the builder records the
+    vertices it removes and adds and the renamed in-slots of vertices that
+    survive, and finds an edge's consumer through ``_edge_index``.  Renames
+    only touch vertices of the source, so the calls may come in any order.
     """
 
     def __init__(self, d: Diagram):
-        self.classical = [[c.sign, c.over_in, c.over_out, c.under_in, c.under_out]
-                          for c in d.classical]
-        self.virtual = [[v.a_in, v.a_out, v.b_in, v.b_out] for v in d.virtual_x]
-        self.wens = [[w.w_in, w.w_out] for w in d.wens]
-        self.removed_c: set[int] = set()
-        self.removed_v: set[int] = set()
-        self.removed_w: set[int] = set()
+        self.rows = {'c': d.classical, 'v': d.virtual_x, 'w': d.wens}
+        self.into, self.out = _edge_index(d)
+        self.removed: dict[str, set[int]] = {vk: set() for vk in 'cvw'}
+        self.added: dict[str, list] = {vk: [] for vk in 'cvw'}
+        # vertex kind -> index -> {in-slot field: new edge}
+        self.renamed: dict[str, dict] = {vk: {} for vk in 'cvw'}
         self.free_loops = d.free_loops
         self.links: list[tuple[str, str]] = []
-        self._ids = set()
-        for row in self.classical:
-            self._ids.update(row[1:])
-        for row in self.virtual + self.wens:
-            self._ids.update(row)
         self._counter = 0
 
     def fresh(self) -> str:
         while True:
             name = f'n{self._counter}'
             self._counter += 1
-            if name not in self._ids:
-                self._ids.add(name)
+            if name not in self.into and name not in self.out:
                 return name
 
-    def remove_classical(self, i: int) -> None:
-        self.removed_c.add(i)
+    def remove(self, vk: str, i: int):
+        """Drop vertex ``i`` of kind ``vk`` ('c', 'v' or 'w'); returns it."""
+        self.removed[vk].add(i)
+        return self.rows[vk][i]
 
-    def remove_virtual(self, i: int) -> None:
-        self.removed_v.add(i)
-
-    def remove_wen(self, i: int) -> None:
-        self.removed_w.add(i)
+    def add(self, vk: str, *slots: str, sign: int = 0) -> None:
+        """Add a vertex of kind ``vk``; ``sign`` is read only for 'c'."""
+        if vk == 'c':
+            self.added[vk].append(ClassicalCrossing(sign, *slots))
+        else:
+            self.added[vk].append((VirtualCrossing if vk == 'v' else Wen)(*slots))
 
     def add_classical(self, sign, oi, oo, ui, uo) -> None:
-        self.classical.append([sign, oi, oo, ui, uo])
-        self._ids.update((oi, oo, ui, uo))
-
-    def add_virtual(self, ai, ao, bi, bo) -> None:
-        self.virtual.append([ai, ao, bi, bo])
-        self._ids.update((ai, ao, bi, bo))
-
-    def add_wen(self, wi, wo) -> None:
-        self.wens.append([wi, wo])
-        self._ids.update((wi, wo))
+        self.add('c', oi, oo, ui, uo, sign=sign)
 
     def link(self, consumed: str, produced: str) -> None:
         """Record that the strand arriving on ``consumed`` continues as
         ``produced`` through a dissolved vertex."""
         self.links.append((consumed, produced))
 
-    def _live_in_slots(self):
-        for i, row in enumerate(self.classical):
-            if i not in self.removed_c:
-                yield ('c', i, 1), row[1]
-                yield ('c', i, 3), row[3]
-        for i, row in enumerate(self.virtual):
-            if i not in self.removed_v:
-                yield ('v', i, 0), row[0]
-                yield ('v', i, 2), row[2]
-        for i, row in enumerate(self.wens):
-            if i not in self.removed_w:
-                yield ('w', i, 0), row[0]
-
     def rewire_consumer(self, old: str, new: str) -> None:
-        for (kind, i, slot), edge in self._live_in_slots():
-            if edge == old:
-                row = {'c': self.classical, 'v': self.virtual, 'w': self.wens}[kind][i]
-                row[slot] = new
+        """Make the surviving vertex that consumes ``old`` consume ``new``."""
+        vk, i, slot = self.into.get(old, _NO_VERTEX)
+        if vk and i not in self.removed[vk]:
+            fields = self.renamed[vk].setdefault(i, {})
+            name = _IN_FIELDS[vk][slot]
+            if name not in fields:
+                fields[name] = new
                 return
         raise MoveError(f'no live consumer of edge {old!r}')
 
@@ -161,15 +151,15 @@ class _Builder:
             while e != first:
                 e = nxt.pop(e)
             self.free_loops += 1
-        return Diagram(
-            classical=tuple(ClassicalCrossing(*row) for i, row in
-                            enumerate(self.classical) if i not in self.removed_c),
-            virtual_x=tuple(VirtualCrossing(*row) for i, row in
-                            enumerate(self.virtual) if i not in self.removed_v),
-            wens=tuple(Wen(*row) for i, row in
-                       enumerate(self.wens) if i not in self.removed_w),
-            free_loops=self.free_loops,
-        )
+        kept = []
+        for vk in 'cvw':
+            rows, removed, renamed = (self.rows[vk], self.removed[vk],
+                                      self.renamed[vk])
+            if removed or renamed:
+                rows = tuple(replace(v, **renamed[i]) if i in renamed else v
+                             for i, v in enumerate(rows) if i not in removed)
+            kept.append(rows + tuple(self.added[vk]))
+        return Diagram(*kept, free_loops=self.free_loops)
 
 
 def _virtual_views(v: VirtualCrossing):
@@ -223,8 +213,10 @@ def _edge_index(d: Diagram):
     ``_virtual_views(v)[1 - s][2] == e``; producing it, ``[s][1]`` and
     ``[1 - s][3]``.  A valid diagram has one of each per edge.
 
-    A scramble step lists every removal and slide kind on one diagram, so
-    the index of the last diagram asked for is kept and reused while the
+    A scramble step lists every removal and slide kind on one diagram and
+    then rewrites it, and ``_Builder`` reads the index too (to find the
+    consumer of an edge it splits or rejoins, and to avoid existing names),
+    so the index of the last diagram asked for is kept and reused while the
     same object is asked for again.  Diagrams are immutable, so the kept
     index never goes stale and no caller can see it.
     """
@@ -452,211 +444,127 @@ def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     return _apply_unchecked(d, site)
 
 
+# kink insertions: the kind and sign of the vertex inserted
+_KINKS = {MoveKind.R1A_PLUS: ('c', 1), MoveKind.R1B_PLUS: ('c', -1),
+          MoveKind.V1_PLUS: ('v', 0), MoveKind.T1_PLUS: ('w', 0)}
+# removals: the kind of the anchored vertices
+_REMOVALS = {MoveKind.R1A_MINUS: 'c', MoveKind.R1B_MINUS: 'c',
+             MoveKind.R2_MINUS: 'c', MoveKind.V1_MINUS: 'v',
+             MoveKind.V2_MINUS: 'v', MoveKind.T1_MINUS: 'w'}
+# triangle slides: the kinds of the anchored vertices, in anchor order
+_SLIDES = {MoveKind.R3: 'ccc', MoveKind.V3: 'vvv', MoveKind.M: 'vvc',
+           MoveKind.F1: 'ccv'}
+
+
+def _slide(b: _Builder, side: str, x, y, z) -> None:
+    """Slide one strand across the crossing of the other two.
+
+    ``x``, ``y`` and ``z`` are the matched vertices as (kind, sign, view),
+    a view being (in0, out0, in1, out1): (over_in, over_out, under_in,
+    under_out) for a classical crossing, one of ``_virtual_views`` for a
+    virtual one.  Side L matches X1 = Y0, X3 = Z0, Y3 = Z2 and side R
+    X3 = Y2, X1 = Z2, Y1 = Z0.  Each new vertex keeps the kind and sign of
+    the matched vertex that crosses the same two strands.
+    """
+    X, Y, Z = x[2], y[2], z[2]
+    fa, fb, fs = b.fresh(), b.fresh(), b.fresh()
+    if side == 'L':
+        rows = ((z, (X[2], fb, Y[2], fs)), (x, (X[0], fa, fs, Z[3])),
+                (y, (fa, Y[1], fb, Z[1])))
+    else:
+        rows = ((y, (Y[0], fa, X[0], fb)), (z, (fa, Z[1], X[2], fs)),
+                (x, (fb, Z[3], fs, Y[3])))
+    for (vk, sign, _), row in rows:
+        b.add(vk, *row, sign=sign)
+
+
 def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
     b = _Builder(d)
     kind, anchors, variant = site.kind, site.anchors, site.variant
-    C, V, W = d.classical, d.virtual_x, d.wens
 
-    if kind in (MoveKind.R1A_PLUS, MoveKind.R1B_PLUS, MoveKind.V1_PLUS,
-                MoveKind.T1_PLUS) and variant == 'loop':
-        b.free_loops -= 1
-        e, f1 = b.fresh(), b.fresh()
-        if kind in (MoveKind.R1A_PLUS, MoveKind.R1B_PLUS):
-            b.add_classical(1 if kind is MoveKind.R1A_PLUS else -1,
-                            e, f1, f1, e)
-        elif kind is MoveKind.V1_PLUS:
-            b.add_virtual(e, f1, f1, e)
-        else:
-            b.add_wen(e, f1)
-            b.add_wen(f1, e)
-
-    elif kind in (MoveKind.R1A_PLUS, MoveKind.R1B_PLUS):
-        (e,) = anchors
-        f1, f2 = b.fresh(), b.fresh()
-        b.rewire_consumer(e, f2)
-        b.add_classical(1 if kind is MoveKind.R1A_PLUS else -1, e, f1, f1, f2)
-
-    elif kind is MoveKind.V1_PLUS:
-        (e,) = anchors
-        f1, f2 = b.fresh(), b.fresh()
-        b.rewire_consumer(e, f2)
-        b.add_virtual(e, f1, f1, f2)
-
-    elif kind is MoveKind.T1_PLUS:
-        (e,) = anchors
-        f1, f2 = b.fresh(), b.fresh()
-        b.rewire_consumer(e, f2)
-        b.add_wen(e, f1)
-        b.add_wen(f1, f2)
-
-    elif kind is MoveKind.R2_PLUS:
+    if kind in _EDGE_PAIR_KINDS:
+        vk = 'c' if kind is MoveKind.R2_PLUS else 'v'
         e, f = anchors
         me, e2, mf, f2 = b.fresh(), b.fresh(), b.fresh(), b.fresh()
         b.rewire_consumer(e, e2)
         b.rewire_consumer(f, f2)
-        b.add_classical(1, e, me, f, mf)
-        b.add_classical(-1, me, e2, mf, f2)
+        b.add(vk, e, me, f, mf, sign=1)
+        b.add(vk, me, e2, mf, f2, sign=-1)
 
-    elif kind is MoveKind.V2_PLUS:
-        e, f = anchors
-        me, e2, mf, f2 = b.fresh(), b.fresh(), b.fresh(), b.fresh()
-        b.rewire_consumer(e, e2)
-        b.rewire_consumer(f, f2)
-        b.add_virtual(e, me, f, mf)
-        b.add_virtual(me, e2, mf, f2)
-
-    elif kind in (MoveKind.R1A_MINUS, MoveKind.R1B_MINUS):
-        (i,) = anchors
-        c = C[i]
-        b.remove_classical(i)
-        b.link(c.over_in, c.over_out)
-        b.link(c.under_in, c.under_out)
-
-    elif kind is MoveKind.V1_MINUS:
-        (i,) = anchors
-        v = V[i]
-        b.remove_virtual(i)
-        b.link(v.a_in, v.a_out)
-        b.link(v.b_in, v.b_out)
-
-    elif kind is MoveKind.T1_MINUS:
-        i, j = anchors
-        b.remove_wen(i)
-        b.remove_wen(j)
-        b.link(W[i].w_in, W[i].w_out)
-        b.link(W[j].w_in, W[j].w_out)
-
-    elif kind is MoveKind.R2_MINUS:
-        i, j = anchors
-        for idx in (i, j):
-            c = C[idx]
-            b.remove_classical(idx)
-            b.link(c.over_in, c.over_out)
-            b.link(c.under_in, c.under_out)
-
-    elif kind is MoveKind.V2_MINUS:
-        i, j = anchors
-        for idx in (i, j):
-            v = V[idx]
-            b.remove_virtual(idx)
-            b.link(v.a_in, v.a_out)
-            b.link(v.b_in, v.b_out)
-
-    elif kind is MoveKind.R3:
-        i, j, k = anchors
-        c1, c2, c3 = C[i], C[j], C[k]
-        s = c1.sign
-        for idx in (i, j, k):
-            b.remove_classical(idx)
-        fa, fb, fs = b.fresh(), b.fresh(), b.fresh()
-        if variant == 'L':
-            b.add_classical(s, c1.under_in, fb, c2.under_in, fs)
-            b.add_classical(s, c1.over_in, fa, fs, c3.under_out)
-            b.add_classical(s, fa, c2.over_out, fb, c3.over_out)
+    elif kind in _KINKS:
+        vk, sign = _KINKS[kind]
+        if variant == 'loop':
+            # the kinked circle runs e -> f1 -> e
+            b.free_loops -= 1
+            e = b.fresh()
+            f1, f2 = b.fresh(), e
         else:
-            # c1 = B/S, c2 = A/S, c3 = A/B in the sigma2 sigma1 sigma2 order
-            b.add_classical(s, c2.over_in, fa, c1.over_in, fb)
-            b.add_classical(s, fa, c3.over_out, c1.under_in, fs)
-            b.add_classical(s, fb, c3.under_out, fs, c2.under_out)
-
-    elif kind is MoveKind.V3:
-        i, j, k = anchors
-        a1, a2, a3 = (int(ch) for ch in variant[1:])
-        w1 = _virtual_views(V[i])[a1]
-        w2 = _virtual_views(V[j])[a2]
-        w3 = _virtual_views(V[k])[a3]
-        for idx in (i, j, k):
-            b.remove_virtual(idx)
-        fa, fb, fs = b.fresh(), b.fresh(), b.fresh()
-        # role names mirror the classical R3 rewrite
-        if variant[0] == 'L':
-            b.add_virtual(w1[2], fb, w2[2], fs)
-            b.add_virtual(w1[0], fa, fs, w3[3])
-            b.add_virtual(fa, w2[1], fb, w3[1])
+            (e,) = anchors
+            f1, f2 = b.fresh(), b.fresh()
+            b.rewire_consumer(e, f2)
+        if vk == 'w':
+            b.add('w', e, f1)
+            b.add('w', f1, f2)
         else:
-            b.add_virtual(w2[0], fa, w1[0], fb)
-            b.add_virtual(fa, w3[1], w1[2], fs)
-            b.add_virtual(fb, w3[3], fs, w2[3])
+            b.add(vk, e, f1, f1, f2, sign=sign)
 
-    elif kind is MoveKind.M:
-        i, j, k = anchors
-        a1, a2 = (int(ch) for ch in variant[1:])
-        w1 = _virtual_views(V[i])[a1]
-        w2 = _virtual_views(V[j])[a2]
-        c = C[k]
-        b.remove_virtual(i)
-        b.remove_virtual(j)
-        b.remove_classical(k)
-        fa, fb, fs = b.fresh(), b.fresh(), b.fresh()
-        if variant[0] == 'L':
-            b.add_classical(c.sign, w1[2], fb, w2[2], fs)
-            b.add_virtual(w1[0], fa, fs, c.under_out)
-            b.add_virtual(fa, w2[1], fb, c.over_out)
-        else:
-            b.add_virtual(w1[0], fa, c.over_in, fb)
-            b.add_virtual(fa, w2[1], c.under_in, fs)
-            b.add_classical(c.sign, fb, w2[3], fs, w1[3])
+    elif kind in _REMOVALS:
+        for i in anchors:
+            v = b.remove(_REMOVALS[kind], i)
+            for (_, e_in), (_, e_out) in zip(v.in_slots, v.out_slots):
+                b.link(e_in, e_out)
 
-    elif kind is MoveKind.F1:
-        i, j, k = anchors
-        c1, c2 = C[i], C[j]
-        view = _virtual_views(V[k])[int(variant[1])]
-        b.remove_classical(i)
-        b.remove_classical(j)
-        b.remove_virtual(k)
-        fa, fb, fs = b.fresh(), b.fresh(), b.fresh()
-        if variant[0] == 'L':
-            b.add_virtual(c1.under_in, fb, c2.under_in, fs)
-            b.add_classical(1, c1.over_in, fa, fs, view[3])
-            b.add_classical(1, fa, c2.over_out, fb, view[1])
-        else:
-            # matched c1 = A/S, c2 = A/B; restore A-over-B-then-S order
-            b.add_classical(1, c1.over_in, fa, view[0], fb)
-            b.add_classical(1, fa, c2.over_out, view[2], fs)
-            b.add_virtual(fb, c2.under_out, fs, c1.under_out)
+    elif kind in _SLIDES:
+        view_digits = iter(variant[1:])
+        matched = []
+        for vk, i in zip(_SLIDES[kind], anchors):
+            v = b.remove(vk, i)
+            if vk == 'c':
+                matched.append(('c', v.sign, (v.over_in, v.over_out,
+                                              v.under_in, v.under_out)))
+            else:
+                view = _virtual_views(v)[int(next(view_digits))]
+                matched.append(('v', 0, view))
+        x, y, z = matched
+        if variant[0] == 'R' and kind in (MoveKind.M, MoveKind.F1):
+            x, y, z = z, x, y   # their matchers list the slid-over vertex last
+        _slide(b, variant[0], x, y, z)
 
     elif kind is MoveKind.T2:
         i, j = anchors
-        w = W[i]
-        view = _virtual_views(V[j])[int(variant[1])]
-        b.remove_wen(i)
-        b.remove_virtual(j)
+        w = b.remove('w', i)
+        view = _virtual_views(b.remove('v', j))[int(variant[1])]
         f = b.fresh()
         if variant[0] == 'B':
-            b.add_virtual(w.w_in, f, view[2], view[3])
-            b.add_wen(f, view[1])
+            b.add('v', w.w_in, f, view[2], view[3])
+            b.add('w', f, view[1])
         else:
-            b.add_wen(view[0], f)
-            b.add_virtual(f, w.w_out, view[2], view[3])
+            b.add('w', view[0], f)
+            b.add('v', f, w.w_out, view[2], view[3])
 
     elif kind is MoveKind.T3:
         i, j = anchors
-        w, c = W[i], C[j]
-        b.remove_wen(i)
-        b.remove_classical(j)
+        w, c = b.remove('w', i), b.remove('c', j)
         f = b.fresh()
         if variant == 'B':
             b.add_classical(c.sign, c.over_in, c.over_out, w.w_in, f)
-            b.add_wen(f, c.under_out)
+            b.add('w', f, c.under_out)
         else:
-            b.add_wen(c.under_in, f)
+            b.add('w', c.under_in, f)
             b.add_classical(c.sign, c.over_in, c.over_out, f, w.w_out)
 
     elif kind is MoveKind.T4:
         i, j, k = anchors
-        c, w1, w2 = C[i], W[j], W[k]
-        b.remove_classical(i)
-        b.remove_wen(j)
-        b.remove_wen(k)
+        c, w1, w2 = b.remove('c', i), b.remove('w', j), b.remove('w', k)
         g1, g2 = b.fresh(), b.fresh()
         if variant == 'out':
-            b.add_wen(c.over_in, g1)
-            b.add_wen(c.under_in, g2)
+            b.add('w', c.over_in, g1)
+            b.add('w', c.under_in, g2)
             b.add_classical(-c.sign, g2, w2.w_out, g1, w1.w_out)
         else:
             b.add_classical(-c.sign, w2.w_in, g1, w1.w_in, g2)
-            b.add_wen(g1, c.under_out)
-            b.add_wen(g2, c.over_out)
+            b.add('w', g1, c.under_out)
+            b.add('w', g2, c.over_out)
 
     else:
         raise ValueError(f'unknown move kind {kind!r}')

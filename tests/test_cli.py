@@ -65,6 +65,23 @@ class TestEval:
     def test_missing_file(self, capsys, tmp_path):
         assert run('eval', str(tmp_path / 'none.wld')) == 1
 
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        p = tmp_path / 'bad.wld'
+        p.write_bytes(b'\xffX+ 1 2 2 1\n')
+        assert run('eval', str(p)) == 1
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert err == (f'error: {p}: not UTF-8 text '
+                       f'(byte 0xff at offset 0)\n')
+
+    def test_unwritable_output_is_an_input_error(self, files, capsys,
+                                                 tmp_path):
+        out = tmp_path / 'no' / 'such' / 'out.txt'
+        assert run('eval', files['unlink2'], '-o', str(out)) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ''
+        assert err.startswith(f'error: cannot write {out}: ')
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         p = tmp_path / 'broken.wld'
         p.write_text('X+ 1 2 3\n')
@@ -130,7 +147,32 @@ class TestScramble:
         assert y_invariant(d1, cs) == y_invariant(d0, cs)
 
 
+    @pytest.mark.parametrize('moves, code', [('-3', 1), ('0', 0)])
+    def test_negative_moves_rejected(self, files, capsys, moves, code):
+        assert run('scramble', files['hopf_pos'], '--moves', moves) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ('', 'error: --moves must be at least 0, '
+                                      'got -3\n')
+        else:
+            assert out == CORPUS_TEXT['hopf_pos'] + '\n'
+
+
 class TestCheckInvariance:
+    @pytest.mark.parametrize('option', ['--trials', '--moves'])
+    def test_negative_counts_rejected(self, files, capsys, option):
+        assert run('check-invariance', files['kink_pos'], option, '-2',
+                   '--json') == 1
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert err == f'error: {option} must be at least 0, got -2\n'
+
+    def test_zero_trials_pass(self, files, capsys):
+        assert run('check-invariance', files['kink_pos'], '--trials', '0',
+                   '--json') == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data['ok'], data['trials']) == (True, 0)
+
     def test_passes_on_unknot(self, files, capsys):
         assert run('check-invariance', files['kink_pos'], '--trials', '10',
                    '--moves', '20', '--mode', 'welded', '--nu', 'sym') == 0

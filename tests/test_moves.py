@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weldskein.diagram import parse, validate, virtual_writhe, wen_count, writhe
+from weldskein.diagram import (parse, serialize, validate, virtual_writhe,
+                               wen_count, writhe)
 from weldskein.moves import (INSERTION_KINDS, MoveError, MoveKind, MoveSite,
-                             _insertion_count, _insertion_site, apply_move,
-                             enumerate_sites, scramble)
+                             _apply_unchecked, _insertion_count,
+                             _insertion_site, apply_move, enumerate_sites,
+                             scramble)
 from weldskein.skein import CoefficientSystem, bracket, y_invariant
 
 from conftest import CORPUS_TEXT
-from scramble_reference import reference_scramble, reference_sites
+from scramble_reference import (reference_apply, reference_scramble,
+                                reference_sites)
 
 WSYM = CoefficientSystem.welded()
 EXT = CoefficientSystem.extended()
@@ -261,7 +264,8 @@ class TestScramble:
 
 
 class TestReferenceOracle:
-    """The counted and edge-indexed sites against the nested-loop lists of
+    """The counted and edge-indexed sites and the shape-by-shape rewrites
+    against the nested-loop lists and kind-by-kind rewrites of
     ``scramble_reference``."""
 
     @pytest.mark.parametrize('name', sorted(CORPUS_TEXT))
@@ -279,6 +283,27 @@ class TestReferenceOracle:
     # show an F1 or V3 site
     STARTS = (sorted(CORPUS_TEXT.values())
               + sorted(text for text, _ in FIXTURES.values()))
+
+    def test_apply_matches_reference(self):
+        # every site of every kind on the starts and three scrambles of
+        # each; of the E(E-1) pair insertions, every 7th
+        seen = set()
+        for text in self.STARTS:
+            d0 = parse(text)
+            for d in [d0] + [scramble(d0, seed, 12, 12, seed != 1)
+                             for seed in range(3)]:
+                for kind in MoveKind:
+                    sites = enumerate_sites(d, kind)
+                    if kind in (MoveKind.R2_PLUS, MoveKind.V2_PLUS):
+                        sites = sites[::7]
+                    for site in sites:
+                        assert serialize(_apply_unchecked(d, site)) \
+                            == serialize(reference_apply(d, site)), site
+                        seen.add((kind, site.variant[:1]))
+        # every kind ran, and both sides of every triangle slide
+        assert {kind for kind, _ in seen} == set(MoveKind)
+        assert all((kind, side) in seen for side in 'LR' for kind in
+                   (MoveKind.R3, MoveKind.V3, MoveKind.M, MoveKind.F1))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(STARTS), st.integers(0, 10 ** 6),
