@@ -13,6 +13,8 @@ from weldskein.verifier import (Constraint, builtin_moves, close,
                                 perfect_matchings, tangle_bracket,
                                 verify_solution)
 
+from verifier_reference import reference_move_constraints
+
 GENERIC = CoefficientSystem.generic()
 WSYM = CoefficientSystem.welded()
 
@@ -300,3 +302,64 @@ class TestClosureFormula:
                       [('1', '2', '3'), ('4',)], [('1', '2'), ('3', '3')]):
             with pytest.raises(ValueError, match='perfect matching'):
                 close(tb, pairs)
+
+
+FAMILIES = {'nu=1': CoefficientSystem.welded(1),
+            'nu=-1': CoefficientSystem.welded(-1),
+            'nu=sym': CoefficientSystem.welded(None),
+            'extended': CoefficientSystem.extended()}
+
+_ENDS4 = 'end 1 in p1\nend 2 in p2\nend 3 out p3\nend 4 out p4\n'
+
+# (lhs, rhs, method, dw, dv): tangle pairs that are not moves, with the
+# same endpoint labels; they mix crossing signs, virtual crossings, wens,
+# loops and both methods, and shift the writhe both ways.
+NON_MOVE_PAIRS = (
+    ('X+ p1 p3 p2 p4\n' + _ENDS4, 'X- p1 p3 p2 p4\n' + _ENDS4,
+     'closure', 2, 0),
+    ('X+ p1 p3 p2 p4\n' + _ENDS4, 'V p1 p3 p2 p4\n' + _ENDS4,
+     'pairing', 1, 1),
+    ('W p1 m\nX- m p3 p2 p4\n' + _ENDS4, 'X+ p2 p4 p1 p3\n' + _ENDS4,
+     'closure', -1, 3),
+    ('X- p1 m1 p2 m2\nX- m2 p3 m1 p4\n' + _ENDS4,
+     'V p1 p3 p2 p4\nloop\n' + _ENDS4, 'pairing', -2, 0),
+    (builtin_moves()['r3'].lhs, builtin_moves()['f1'].rhs, 'closure', 0, 1),
+    (builtin_moves()['m'].lhs, builtin_moves()['v3'].rhs, 'pairing', -1, 2),
+)
+
+
+def _assert_matches_reference(cset, reference):
+    assert [c.tag for c in cset.constraints] == [c.tag for c in reference]
+    for new, old in zip(cset.constraints, reference):
+        if old.dw == 0:
+            assert new.generic_equation() == old.generic_equation(), new.tag
+        else:
+            with pytest.raises(ValueError):
+                new.generic_equation()
+        for label, fam in FAMILIES.items():
+            assert new.residual(fam) == old.residual(fam), (new.tag, label)
+
+
+@pytest.mark.parametrize('name', sorted(builtin_moves()))
+def test_constraints_match_close_then_substitute_reference(name):
+    schema = builtin_moves()[name]
+    reference = reference_move_constraints(
+        parse_tangle(schema.lhs), parse_tangle(schema.rhs),
+        method=schema.method, dw=schema.dw, dv=schema.dv)
+    _assert_matches_reference(constraints_for(name), reference)
+
+
+@pytest.mark.parametrize('case', range(len(NON_MOVE_PAIRS)))
+def test_non_move_pairs_match_close_then_substitute_reference(case):
+    lhs, rhs, method, dw, dv = NON_MOVE_PAIRS[case]
+    lt, rt = parse_tangle(lhs), parse_tangle(rhs)
+    reference = reference_move_constraints(lt, rt, method=method, dw=dw, dv=dv)
+    cset = move_constraints(lt, rt, method=method, dw=dw, dv=dv)
+    assert any(not c.residual(fam).is_zero()
+               for c in reference for fam in FAMILIES.values())
+    _assert_matches_reference(cset, reference)
+
+
+def test_verify_solution_is_repeatable():
+    for fam in FAMILIES.values():
+        assert verify_solution(fam) == verify_solution(fam)
