@@ -198,6 +198,8 @@ def cmd_check_invariance(args) -> int:
 
 def cmd_verify_moves(args) -> int:
     if args.mode == 'generic':
+        if args.nu is not None:
+            raise CliError('generic mode takes no --nu; use --mode welded')
         lines = ['coefficient family: generic', '']
         payload = {'command': 'verify-moves', 'family': 'generic', 'moves': []}
         for name, schema in builtin_moves().items():

@@ -7,12 +7,19 @@ the two sides per pairing, or closing both with every perfect matching of
 the endpoints, yields polynomial constraints on the skein coefficients.
 The expansion runs on the same state-sum kernel as the closed-diagram
 bracket (``statesum.smoothing_histogram``), with the endpoint edges kept
-open.  Verification substitutes a solved coefficient family and checks
-that every constraint holds identically.
+open.
 
 A closure multiplies each pairing's entry by t^cycles, where the cycles
 are the closed curves that the state's strands form with the closure's
-arcs, counted by walking the two perfect matchings.
+arcs, counted by walking the two perfect matchings.  A closure is linear
+in the entries, so the two sides are combined once per pairing
+(:class:`MoveSides`) and every equation is one closure of the combined
+entries, or one combined entry for the pairing method.
+
+Verification substitutes a solved coefficient family and checks that every
+constraint holds identically.  Substitution is a ring homomorphism, so each
+combined entry is substituted once per move and family, and each closure
+residual is the sum of those entries times powers of the substituted t.
 
 Everything here runs with cleared denominators: generic coefficients x, y,
 z are free symbols, and substituting the solved family multiplies the other
@@ -125,11 +132,14 @@ def _cycle_count(pairing: Pairing, partner: Mapping[str, str]) -> int:
     return cycles
 
 
-def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
+def close(tb: TangleBracket, pairs: Iterable[Iterable[str]],
+          t_powers: Optional[Sequence[Polynomial]] = None) -> Polynomial:
     """Compose a closure pairing with each state pairing and sum the values.
 
     Each pairing's entry gains one loop per closed curve that its strands
-    form with the closure's arcs.  Returns the cleared-denominator
+    form with the closure's arcs: it is multiplied by ``t_powers[cycles]``,
+    by default t^cycles with t the loop symbol.  ``t_powers`` needs one
+    entry more than the closure has arcs.  Returns the cleared-denominator
     polynomial (implicit delta power is ``tb.neg_count``).
     """
     pairs = [tuple(p) for p in pairs]
@@ -140,9 +150,10 @@ def close(tb: TangleBracket, pairs: Iterable[Iterable[str]]) -> Polynomial:
     for u, v in pairs:
         partner[u], partner[v] = v, u
     # every curve runs through at least one closure arc
-    powers = [Polynomial.monomial(1, t=k) for k in range(len(pairs) + 1)]
+    if t_powers is None:
+        t_powers = [Polynomial.monomial(1, t=k) for k in range(len(pairs) + 1)]
     return Polynomial.sum_of_products(
-        (value, powers[_cycle_count(pairing, partner)])
+        (value, t_powers[_cycle_count(pairing, partner)])
         for pairing, value in tb.entries.items())
 
 
@@ -164,52 +175,140 @@ def normalize_equation(p: Polynomial) -> Polynomial:
     return Polynomial(new_terms)
 
 
+class SolvedTable:
+    """A solved family's substitution and the powers its residuals need.
+
+    Holds sigma (the images of the generic symbols) and the powers of
+    delta, omega, r and sigma(t) = -2*nu, each formed once.  Build one per
+    verification call; nothing here outlives it.
+    """
+
+    def __init__(self, family: CoefficientSystem):
+        self.family = family
+        self.sigma = family.substitution()
+        self._powers = {'delta': [Polynomial.one(), delta()],
+                        'omega': [Polynomial.one(), family.omega()],
+                        'r': [Polynomial.one(), Polynomial.var('r')],
+                        't': [Polynomial.one(), self.sigma['t']]}
+
+    def power(self, name: str, n: int) -> Polynomial:
+        """``name`` (delta, omega, r or t) to the n-th power under this
+        family, from the powers formed so far."""
+        powers = self._powers[name]
+        while len(powers) <= n:
+            powers.append(powers[-1] * powers[1])
+        return powers[n]
+
+
+@dataclass
+class MoveSides:
+    """The brackets of a move's two sides, combined pairing by pairing.
+
+    ``dw``/``dv`` are the writhe and virtual-writhe offsets of lhs relative
+    to rhs.  ``generic`` holds D_p = L_p - r^dv * R_p per state pairing p,
+    so closing it once gives a closure's generic equation.  Under a solved
+    family sigma, each pairing becomes one entry
+
+        E_p = sigma(L_p) * delta^neg_r * omega^max(0, -dw)
+              - sigma(R_p) * delta^neg_l * r^dv * omega^max(0, dw),
+
+    substituted once per family; a closure's residual is then the sum of
+    E_p * sigma(t)^cycles, because sigma is a ring homomorphism.
+    """
+
+    lhs: TangleBracket
+    rhs: TangleBracket
+    dw: int = 0
+    dv: int = 0
+    generic: TangleBracket = field(init=False)
+    _solved: dict = field(init=False, default_factory=dict, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        if self.lhs.labels != self.rhs.labels:
+            raise ValueError('endpoint labels differ between the sides')
+        r = Polynomial.var('r') if self.dv % 2 else 1
+        entries = dict(self.lhs.entries)
+        for pairing, value in self.rhs.entries.items():
+            entries[pairing] = entries.get(pairing, Polynomial.zero()) - value * r
+        # generic x, y, z are free symbols: no delta power to clear
+        self.generic = TangleBracket(
+            self.lhs.labels,
+            {k: v for k, v in entries.items() if not v.is_zero()}, 0)
+
+    def pairings(self) -> list[Pairing]:
+        """State pairings of either side, in tag order."""
+        return sorted(set(self.lhs.entries) | set(self.rhs.entries),
+                      key=pairing_tag)
+
+    def substitute(self, table: SolvedTable) -> TangleBracket:
+        """The combined entries E_p under ``table``'s family, kept for
+        :meth:`solved`."""
+        left = (table.power('delta', self.rhs.neg_count)
+                * table.power('omega', max(0, -self.dw)))
+        right = -(table.power('delta', self.lhs.neg_count)
+                  * table.power('r', self.dv % 2)
+                  * table.power('omega', max(0, self.dw)))
+        entries = {}
+        for pairing in self.pairings():
+            parts = [(side.entries[pairing].substitute(table.sigma), factor)
+                     for side, factor in ((self.lhs, left), (self.rhs, right))
+                     if pairing in side.entries]
+            value = Polynomial.sum_of_products(parts)
+            if not value.is_zero():
+                entries[pairing] = value
+        solved = TangleBracket(self.lhs.labels, entries,
+                               self.lhs.neg_count + self.rhs.neg_count)
+        arcs = len(self.lhs.labels) // 2
+        self._solved[table.family] = (
+            solved, [table.power('t', k) for k in range(arcs + 1)])
+        return solved
+
+    def solved(self, family: CoefficientSystem) -> tuple[TangleBracket, list[Polynomial]]:
+        """The combined entries under ``family`` and the powers of its t."""
+        if family not in self._solved:
+            self.substitute(SolvedTable(family))
+        return self._solved[family]
+
+
 @dataclass
 class Constraint:
-    """One equation produced by a closure or pairing comparison.
+    """One equation of a move: a closure of both sides, or one pairing.
 
-    The sides are cleared polynomials; ``neg_l``/``neg_r`` give the implicit
-    delta powers and ``dw``/``dv`` the writhe and virtual-writhe offsets of
-    lhs relative to rhs.
+    ``closure`` is a perfect matching of the endpoints; when it is None the
+    constraint compares the two sides' entries of the state ``pairing``.
+    Both the generic equation and the residual under a solved family are
+    read from the move's combined entries (:class:`MoveSides`).
     """
 
     tag: str
-    lhs: Polynomial
-    rhs: Polynomial
-    neg_l: int = 0
-    neg_r: int = 0
-    dw: int = 0
-    dv: int = 0
+    sides: MoveSides = field(repr=False)
+    closure: Optional[tuple[tuple[str, str], ...]] = None
+    pairing: Optional[Pairing] = None
+
+    @property
+    def dw(self) -> int:
+        return self.sides.dw
+
+    def _read(self, tb: TangleBracket,
+              t_powers: Optional[Sequence[Polynomial]] = None) -> Polynomial:
+        if self.closure is None:
+            return tb.entries.get(self.pairing, Polynomial.zero())
+        return close(tb, self.closure, t_powers)
 
     def generic_equation(self) -> Polynomial:
-        """lhs - rhs as one polynomial; only meaningful when dw == 0.
+        """lhs - r^dv * rhs as one polynomial; only meaningful when dw == 0.
 
         Generic x, y, z are free symbols, so no delta clearing happens here;
         the delta powers only materialize under a solved substitution.
         """
         if self.dw != 0:
             raise ValueError('writhe-shifting move has no generic equation')
-        rhs = self.rhs
-        if self.dv % 2:
-            rhs = rhs * Polynomial.var('r')
-        return self.lhs - rhs
+        return self._read(self.sides.generic)
 
     def residual(self, family: CoefficientSystem) -> Polynomial:
         """Substitute a solved family; zero iff the constraint holds."""
-        subst = family.substitution()
-        lhs = self.lhs.substitute(subst)
-        rhs = self.rhs.substitute(subst)
-        d = delta()
-        lhs = lhs * d ** self.neg_r
-        rhs = rhs * d ** self.neg_l
-        if self.dv % 2:
-            rhs = rhs * Polynomial.var('r')
-        omega = family.omega()
-        if self.dw >= 0:
-            rhs = rhs * omega ** self.dw
-        else:
-            lhs = lhs * omega ** (-self.dw)
-        return lhs - rhs
+        return self._read(*self.sides.solved(family))
 
 
 @dataclass
@@ -219,6 +318,7 @@ class ConstraintSet:
     move: str
     n_closures: int
     constraints: list[Constraint]
+    sides: MoveSides = field(repr=False)
 
     def nontrivial(self) -> list[Constraint]:
         """Constraints whose generic equation is nonzero (dw == 0 moves)."""
@@ -338,30 +438,17 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
 
     Both tangles must carry the same endpoint labels.
     """
-    ltb = tangle_bracket(lhs)
-    rtb = tangle_bracket(rhs)
-    if ltb.labels != rtb.labels:
-        raise ValueError('endpoint labels differ between the sides')
-    constraints = []
+    sides = MoveSides(tangle_bracket(lhs), tangle_bracket(rhs), dw, dv)
+    matchings = perfect_matchings(sides.lhs.labels)
     if method == 'pairing':
-        n_closures = len(perfect_matchings(ltb.labels))
-        for pairing in sorted(set(ltb.entries) | set(rtb.entries),
-                              key=pairing_tag):
-            constraints.append(Constraint(
-                pairing_tag(pairing),
-                ltb.entries.get(pairing, Polynomial.zero()),
-                rtb.entries.get(pairing, Polynomial.zero()),
-                ltb.neg_count, rtb.neg_count, dw, dv))
+        constraints = [Constraint(pairing_tag(p), sides, pairing=p)
+                       for p in sides.pairings()]
     elif method == 'closure':
-        matchings = perfect_matchings(ltb.labels)
-        n_closures = len(matchings)
-        for pairs in matchings:
-            constraints.append(Constraint(
-                pairing_tag(pairs), close(ltb, pairs), close(rtb, pairs),
-                ltb.neg_count, rtb.neg_count, dw, dv))
+        constraints = [Constraint(pairing_tag(pairs), sides, closure=pairs)
+                       for pairs in matchings]
     else:
         raise ValueError(f'unknown method {method!r}')
-    return ConstraintSet(move, n_closures, constraints)
+    return ConstraintSet(move, len(matchings), constraints, sides)
 
 
 def constraints_for(move_name: str) -> ConstraintSet:
@@ -374,13 +461,15 @@ def constraints_for(move_name: str) -> ConstraintSet:
 # -- kink expansions and the solved-family report ------------------------------
 
 
-def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
+def kink_coefficients(family: CoefficientSystem,
+                      table: Optional[SolvedTable] = None) -> tuple[DeltaFraction, DeltaFraction]:
     """Expansion coefficients of the positive and negative kink tangles.
 
     Derived from the tangle brackets, not hardcoded: the strand-pairing value
-    of the kink equals coeff * [plain strand].
+    of the kink equals coeff * [plain strand].  ``table``, when given, is
+    the family's table of the calling verification.
     """
-    subst = family.substitution()
+    subst = family.substitution() if table is None else table.sigma
     out = []
     for name in ('r1a', 'r1b'):
         schema = builtin_moves()[name]
@@ -446,9 +535,11 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
     """
     if not family.is_solved:
         raise ValueError('verify_solution needs a solved family')
+    table = SolvedTable(family)
     checks = []
     for name in builtin_moves():
         cset = constraints_for(name)
+        cset.sides.substitute(table)      # each entry once; residual() reads it
         residuals = []
         for c in cset.constraints:
             res = c.residual(family)
@@ -458,7 +549,7 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
             all(c.dw == 0 for c in cset.constraints) else len(cset.constraints)
         checks.append(MoveCheck(name, cset.n_closures, n_eq,
                                 not residuals, residuals))
-    kpos, kneg = kink_coefficients(family)
+    kpos, kneg = kink_coefficients(family, table)
     reciprocal = (kpos * kneg == DeltaFraction.from_int(1))
     return SolutionReport(family.describe(), checks, kpos, kneg, reciprocal,
                           t4_expected=(family.nu == 1))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +261,29 @@ class TestVerifyMoves:
         assert data['all_as_expected'] is True
         t4 = next(m for m in data['moves'] if m['move'] == 't4')
         assert t4['satisfied'] is False and t4['residuals']
+
+    def test_generic_mode_rejects_nu(self, capsys):
+        for nu in ('1', '-1', 'sym'):
+            assert run('verify-moves', '--mode', 'generic', '--nu', nu) == 1
+            out, err = capsys.readouterr()
+            assert out == ''
+            assert err == ('error: generic mode takes no --nu; '
+                           'use --mode welded\n')
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / 'src'
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, '-m', 'weldskein', 'verify-moves', '--mode', 'welded',
+         '--nu', '-1', '--json'],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data['family'] == 'welded (nu=-1)'
+    assert data['all_as_expected'] is True
+    proc = subprocess.run([sys.executable, '-m', 'weldskein', 'verify-moves',
+                           '--mode', 'generic', '--nu', '1'],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith('error: generic mode takes no --nu')
