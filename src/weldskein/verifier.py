@@ -175,31 +175,6 @@ def normalize_equation(p: Polynomial) -> Polynomial:
     return Polynomial(new_terms)
 
 
-class SolvedTable:
-    """A solved family's substitution and the powers its residuals need.
-
-    Holds sigma (the images of the generic symbols) and the powers of
-    delta, omega, r and sigma(t) = -2*nu, each formed once.  Build one per
-    verification call; nothing here outlives it.
-    """
-
-    def __init__(self, family: CoefficientSystem):
-        self.family = family
-        self.sigma = family.substitution()
-        self._powers = {'delta': [Polynomial.one(), delta()],
-                        'omega': [Polynomial.one(), family.omega()],
-                        'r': [Polynomial.one(), Polynomial.var('r')],
-                        't': [Polynomial.one(), self.sigma['t']]}
-
-    def power(self, name: str, n: int) -> Polynomial:
-        """``name`` (delta, omega, r or t) to the n-th power under this
-        family, from the powers formed so far."""
-        powers = self._powers[name]
-        while len(powers) <= n:
-            powers.append(powers[-1] * powers[1])
-        return powers[n]
-
-
 @dataclass
 class MoveSides:
     """The brackets of a move's two sides, combined pairing by pairing.
@@ -241,33 +216,31 @@ class MoveSides:
         return sorted(set(self.lhs.entries) | set(self.rhs.entries),
                       key=pairing_tag)
 
-    def substitute(self, table: SolvedTable) -> TangleBracket:
-        """The combined entries E_p under ``table``'s family, kept for
-        :meth:`solved`."""
-        left = (table.power('delta', self.rhs.neg_count)
-                * table.power('omega', max(0, -self.dw)))
-        right = -(table.power('delta', self.lhs.neg_count)
-                  * table.power('r', self.dv % 2)
-                  * table.power('omega', max(0, self.dw)))
-        entries = {}
-        for pairing in self.pairings():
-            parts = [(side.entries[pairing].substitute(table.sigma), factor)
-                     for side, factor in ((self.lhs, left), (self.rhs, right))
-                     if pairing in side.entries]
-            value = Polynomial.sum_of_products(parts)
-            if not value.is_zero():
-                entries[pairing] = value
-        solved = TangleBracket(self.lhs.labels, entries,
-                               self.lhs.neg_count + self.rhs.neg_count)
-        arcs = len(self.lhs.labels) // 2
-        self._solved[table.family] = (
-            solved, [table.power('t', k) for k in range(arcs + 1)])
-        return solved
-
     def solved(self, family: CoefficientSystem) -> tuple[TangleBracket, list[Polynomial]]:
-        """The combined entries under ``family`` and the powers of its t."""
+        """The combined entries E_p under ``family`` and the powers of its t.
+
+        Formed on the first call for a family and kept on this object, so
+        every constraint of the move reads the same entries.
+        """
         if family not in self._solved:
-            self.substitute(SolvedTable(family))
+            sigma = family.substitution()
+            left = delta() ** self.rhs.neg_count * family.omega() ** max(0, -self.dw)
+            right = -(delta() ** self.lhs.neg_count
+                      * Polynomial.var('r') ** (self.dv % 2)
+                      * family.omega() ** max(0, self.dw))
+            entries = {}
+            for pairing in self.pairings():
+                parts = [(side.entries[pairing].substitute(sigma), factor)
+                         for side, factor in ((self.lhs, left), (self.rhs, right))
+                         if pairing in side.entries]
+                value = Polynomial.sum_of_products(parts)
+                if not value.is_zero():
+                    entries[pairing] = value
+            solved = TangleBracket(self.lhs.labels, entries,
+                                   self.lhs.neg_count + self.rhs.neg_count)
+            arcs = len(self.lhs.labels) // 2
+            self._solved[family] = (solved,
+                                    [sigma['t'] ** k for k in range(arcs + 1)])
         return self._solved[family]
 
 
@@ -318,7 +291,6 @@ class ConstraintSet:
     move: str
     n_closures: int
     constraints: list[Constraint]
-    sides: MoveSides = field(repr=False)
 
     def nontrivial(self) -> list[Constraint]:
         """Constraints whose generic equation is nonzero (dw == 0 moves)."""
@@ -448,7 +420,7 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
                        for pairs in matchings]
     else:
         raise ValueError(f'unknown method {method!r}')
-    return ConstraintSet(move, len(matchings), constraints, sides)
+    return ConstraintSet(move, len(matchings), constraints)
 
 
 def constraints_for(move_name: str) -> ConstraintSet:
@@ -461,15 +433,13 @@ def constraints_for(move_name: str) -> ConstraintSet:
 # -- kink expansions and the solved-family report ------------------------------
 
 
-def kink_coefficients(family: CoefficientSystem,
-                      table: Optional[SolvedTable] = None) -> tuple[DeltaFraction, DeltaFraction]:
+def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
     """Expansion coefficients of the positive and negative kink tangles.
 
     Derived from the tangle brackets, not hardcoded: the strand-pairing value
-    of the kink equals coeff * [plain strand].  ``table``, when given, is
-    the family's table of the calling verification.
+    of the kink equals coeff * [plain strand].
     """
-    subst = family.substitution() if table is None else table.sigma
+    subst = family.substitution()
     out = []
     for name in ('r1a', 'r1b'):
         schema = builtin_moves()[name]
@@ -535,11 +505,9 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
     """
     if not family.is_solved:
         raise ValueError('verify_solution needs a solved family')
-    table = SolvedTable(family)
     checks = []
     for name in builtin_moves():
         cset = constraints_for(name)
-        cset.sides.substitute(table)      # each entry once; residual() reads it
         residuals = []
         for c in cset.constraints:
             res = c.residual(family)
@@ -549,7 +517,7 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
             all(c.dw == 0 for c in cset.constraints) else len(cset.constraints)
         checks.append(MoveCheck(name, cset.n_closures, n_eq,
                                 not residuals, residuals))
-    kpos, kneg = kink_coefficients(family, table)
+    kpos, kneg = kink_coefficients(family)
     reciprocal = (kpos * kneg == DeltaFraction.from_int(1))
     return SolutionReport(family.describe(), checks, kpos, kneg, reciprocal,
                           t4_expected=(family.nu == 1))
