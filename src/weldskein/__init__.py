@@ -9,7 +9,7 @@ from weldskein.diagram import (ClassicalCrossing, Diagram, Tangle,
                                validate, virtual_writhe, wen_count, writhe)
 from weldskein.moves import MoveKind, MoveSite, apply_move, enumerate_sites, scramble
 from weldskein.skein import (CoefficientSystem, State, WenError, bracket,
-                             state_value, y_invariant, y_lambda)
+                             state_sums, state_value, y_invariant)
 from weldskein.verifier import (Constraint, ConstraintSet, TangleBracket,
                                 close, constraints_for, kink_coefficients,
                                 move_constraints, tangle_bracket,

@@ -49,11 +49,11 @@ class ClassicalCrossing:
 
     @property
     def in_slots(self):
-        return (('over_in', self.over_in), ('under_in', self.under_in))
+        return (self.over_in, self.under_in)
 
     @property
     def out_slots(self):
-        return (('over_out', self.over_out), ('under_out', self.under_out))
+        return (self.over_out, self.under_out)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ class VirtualCrossing:
 
     @property
     def in_slots(self):
-        return (('a_in', self.a_in), ('b_in', self.b_in))
+        return (self.a_in, self.b_in)
 
     @property
     def out_slots(self):
-        return (('a_out', self.a_out), ('b_out', self.b_out))
+        return (self.a_out, self.b_out)
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ class Wen:
 
     @property
     def in_slots(self):
-        return (('w_in', self.w_in),)
+        return (self.w_in,)
 
     @property
     def out_slots(self):
-        return (('w_out', self.w_out),)
+        return (self.w_out,)
 
 
 Vertex = Union[ClassicalCrossing, VirtualCrossing, Wen]
@@ -107,7 +107,7 @@ class Diagram:
         seen = []
         mark = set()
         for v in self.vertices():
-            for _, e in tuple(v.in_slots) + tuple(v.out_slots):
+            for e in v.in_slots + v.out_slots:
                 if e not in mark:
                     mark.add(e)
                     seen.append(e)
@@ -129,9 +129,9 @@ def validate(d: Diagram, boundary: Iterable[tuple[str, str, str]] = ()) -> list[
     sources: dict[str, int] = {}
     targets: dict[str, int] = {}
     for v in d.vertices():
-        for _, e in v.out_slots:
+        for e in v.out_slots:
             sources[e] = sources.get(e, 0) + 1
-        for _, e in v.in_slots:
+        for e in v.in_slots:
             targets[e] = targets.get(e, 0) + 1
     labels = set()
     for label, direction, e in boundary:

@@ -511,7 +511,7 @@ def _apply_unchecked(d: Diagram, site: MoveSite) -> Diagram:
     elif kind in _REMOVALS:
         for i in anchors:
             v = b.remove(_REMOVALS[kind], i)
-            for (_, e_in), (_, e_out) in zip(v.in_slots, v.out_slots):
+            for e_in, e_out in zip(v.in_slots, v.out_slots):
                 b.link(e_in, e_out)
 
     elif kind in _SLIDES:

@@ -7,13 +7,16 @@ evaluates to
 
     coeff(state) * t^(#circles) * r^(#virtual crossings mod 2) * s^(#wens mod 2).
 
-The bracket sums this over all 3^n states: ``_kernel_inputs`` contracts the
-strands through virtual crossings and wens into nodes, the state-sum kernel
-(``statesum.smoothing_histogram``) counts the states by coefficient shape,
-and ``bracket`` assembles the polynomial.  ``state_value`` evaluates one
-state on its own and serves as the oracle for that path.  Y multiplies the
-bracket by r^(virtual writhe) and by the inverse writhe power of
-omega = a*r - nu*b, whose inverse is (-r*a - nu*b)/delta.
+``state_sums`` sums this over all 3^n states: ``_kernel_inputs`` contracts
+the strands through virtual crossings and wens into nodes, the state-sum
+kernel (``statesum.smoothing_histogram``) counts the states by coefficient
+shape, and the counts become one polynomial per way the states join a set
+of boundary edges.  ``bracket`` is the closed case, with no boundary; the
+verifier's ``tangle_bracket`` keeps the tangle endpoints open.
+``state_value`` evaluates one state on its own and serves as the oracle
+for that path.  Y multiplies the bracket by r^(virtual writhe) and by the
+inverse writhe power of omega = a*r - nu*b, whose inverse is
+(-r*a - nu*b)/delta.
 
 Coefficient systems:
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from weldskein import statesum
-from weldskein.algebra import NAMES, DeltaFraction, Polynomial
+from weldskein.algebra import DeltaFraction, Polynomial
 from weldskein.diagram import (Diagram, check_valid, pass_through,
                                virtual_writhe, writhe)
 
@@ -213,7 +216,7 @@ def state_value(d: Diagram, s: State, cs: CoefficientSystem) -> DeltaFraction:
     return value
 
 
-# -- bracket via the histogram kernel ----------------------------------------
+# -- state sums via the histogram kernel -------------------------------------
 
 
 def _kernel_inputs(d: Diagram, boundary_edges: Sequence[str] = ()):
@@ -248,47 +251,49 @@ def _kernel_inputs(d: Diagram, boundary_edges: Sequence[str] = ()):
     return len(node_of), crossing_nodes, signs, constant_loops, boundary_nodes
 
 
-def state_term_builder(cs: CoefficientSystem, n_pos: int, n_neg: int):
-    """Map a state's counts to the exponents and integer coefficient of
+def state_sums(d: Diagram, cs: CoefficientSystem,
+               boundary_edges: Sequence[str] = ()) -> tuple[dict[tuple, Polynomial], int]:
+    """The state sum, one polynomial per way the states join the boundary.
 
-        coeff(state) * t^loops * r^parity * s^wen_parity,
+    Every state adds coeff(state) * t^loops * r^parity * s^wen_parity to the
+    entry of the partition it induces on ``boundary_edges``, keyed as
+    ``statesum.smoothing_histogram`` reports it; a closed diagram has the
+    single key ().  Strands that end on the boundary are not loops.
 
-    for a diagram with ``n_pos`` positive and ``n_neg`` negative classical
-    crossings.  Solved families are written out by hand here, as the fast
-    path: c = nu*b, t = -2nu and the negative triple's numerators
-    (-a, b, nu*b); the caller keeps the delta^n_neg.  Tests hold this
-    against ``state_value``, which reads ``CoefficientSystem.substitution``.
+    Returns the entries and the number of negative crossings.  Solved
+    families are written out by hand here, as the fast path: c = nu*b,
+    t = -2nu and the negative triple's numerators (-a, b, nu*b); the caller
+    keeps the delta^n_neg.  Tests hold this against ``state_value``, which
+    reads ``CoefficientSystem.substitution``.
     """
-    idx = {name: i for i, name in enumerate(NAMES)}
-    nvars = len(NAMES)
-
-    def term(vp, ip, vn, inn, loops, parity, wen_parity):
+    n_nodes, crossing_nodes, signs, const_loops, boundary_nodes = \
+        _kernel_inputs(d, boundary_edges)
+    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
+                                        boundary_nodes)
+    n_neg = signs.count(-1)
+    n_pos = len(signs) - n_neg
+    v_d = len(d.virtual_x)
+    wen_parity = len(d.wens) % 2
+    grouped: dict[tuple, dict[tuple[int, ...], int]] = {}
+    for key, count in hist.items():
+        vp, ip, vn, inn, loops = key[:5]
+        loops += const_loops
         cp = n_pos - vp - ip
         cn = n_neg - vn - inn
-        exp = [0] * nvars
-        if cs.kind == 'generic':
-            coeff = 1
-            exp[idx['a']] = vp
-            exp[idx['b']] = ip
-            exp[idx['c']] = cp
-            exp[idx['x']] = vn
-            exp[idx['y']] = inn
-            exp[idx['z']] = cn
-            exp[idx['t']] = loops
+        parity = (v_d + vp + vn) % 2
+        # exponent slots in algebra.NAMES order: a b c x y z t r nu s
+        if not cs.is_solved:
+            exp = (vp, ip, cp, vn, inn, cn, loops, parity, 0, wen_parity)
         else:
-            coeff = (-1) ** vn * (-2) ** loops
-            nu_exp = cp + cn + loops
-            if cs.nu is None:
-                exp[idx['nu']] = nu_exp % 2
-            else:
-                coeff *= cs.nu ** nu_exp
-            exp[idx['a']] = vp + vn
-            exp[idx['b']] = ip + cp + inn + cn
-        exp[idx['r']] = parity
-        exp[idx['s']] = wen_parity
-        return tuple(exp), coeff
-
-    return term
+            nu_bit = (cp + cn + loops) % 2      # nu^2 = 1
+            count *= (-1) ** vn * (-2) ** loops
+            if cs.nu is not None:
+                count *= cs.nu ** nu_bit
+            exp = (vp + vn, ip + cp + inn + cn, 0, 0, 0, 0, 0, parity,
+                   nu_bit if cs.nu is None else 0, wen_parity)
+        terms = grouped.setdefault(key[5] if boundary_edges else (), {})
+        terms[exp] = terms.get(exp, 0) + count
+    return {k: Polynomial(terms) for k, terms in grouped.items()}, n_neg
 
 
 def bracket(d: Diagram, cs: CoefficientSystem, *,
@@ -297,20 +302,8 @@ def bracket(d: Diagram, cs: CoefficientSystem, *,
     check_valid(d)
     if check_wens:
         _check_wens(d, cs)
-    n_nodes, crossing_nodes, signs, const_loops, _ = _kernel_inputs(d)
-    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs)
-    n_pos = sum(1 for s in signs if s > 0)
-    n_neg = len(signs) - n_pos
-    v_d = len(d.virtual_x)
-    wen_parity = len(d.wens) % 2
-    term = state_term_builder(cs, n_pos, n_neg)
-    terms: dict[tuple[int, ...], int] = {}
-    for (vp, ip, vn, inn, loops), count in hist.items():
-        exp, coeff = term(vp, ip, vn, inn, loops + const_loops,
-                          (v_d + vp + vn) % 2, wen_parity)
-        terms[exp] = terms.get(exp, 0) + count * coeff
-    num = Polynomial(terms)
-    return DeltaFraction(num, n_neg if cs.is_solved else 0)
+    sums, n_neg = state_sums(d, cs)
+    return DeltaFraction(sums[()], n_neg if cs.is_solved else 0)
 
 
 def y_invariant(d: Diagram, cs: CoefficientSystem, *,
@@ -327,17 +320,3 @@ def y_invariant(d: Diagram, cs: CoefficientSystem, *,
     else:
         value = value * DeltaFraction(cs.omega() ** (-w))
     return value
-
-
-def y_lambda(d: Diagram, r: int = 1, s: int = 1):
-    """Y in extended mode, pushed through alpha/beta and dehomogenized.
-
-    A non-homogeneous alpha/beta image would mean an evaluator bug, so the
-    ``ValueError`` of ``LaurentPoly.dehomogenize`` propagates rather than
-    being swallowed.
-    """
-    from weldskein.algebra import to_alpha_beta
-    if r not in (1, -1) or s not in (1, -1):
-        raise ValueError('r and s must be specialized to +-1')
-    value = y_invariant(d, CoefficientSystem.extended())
-    return to_alpha_beta(value.substitute({'r': r, 's': s})).dehomogenize()

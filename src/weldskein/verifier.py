@@ -5,9 +5,9 @@ bracket is one polynomial per induced endpoint pairing: every state adds
 coeff * t^loops * r^parity * s^wen to the entry of its pairing.  Comparing
 the two sides per pairing, or closing both with every perfect matching of
 the endpoints, yields polynomial constraints on the skein coefficients.
-The expansion runs on the same state-sum kernel as the closed-diagram
-bracket (``statesum.smoothing_histogram``), with the endpoint edges kept
-open.
+The expansion is ``skein.state_sums``, the same state sum as the
+closed-diagram bracket, with the endpoint edges kept open and the generic
+coefficients.
 
 A closure multiplies each pairing's entry by t^cycles, where the cycles
 are the closed curves that the state's strands form with the closure's
@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from weldskein import statesum
 from weldskein.algebra import DeltaFraction, Polynomial, delta
 from weldskein.diagram import Tangle, check_valid, parse_tangle
-from weldskein.skein import (CoefficientSystem, _kernel_inputs,
-                             state_term_builder)
+from weldskein.skein import CoefficientSystem, state_sums
 
 Pairing = frozenset            # of frozensets of endpoint labels
 
@@ -79,34 +77,19 @@ class TangleBracket:
 def tangle_bracket(t: Tangle) -> TangleBracket:
     """Expand a tangle into its smoothing states, grouped by pairing.
 
-    The state-sum kernel keeps the endpoint edges open and reports, per
-    coefficient shape, how each state pairs them.  Coefficients are the
-    generic symbols; a solved family enters later, by substitution.
+    ``skein.state_sums`` keeps the endpoint edges open and groups the states
+    by the partition they induce on them; each partition names a pairing.
+    Coefficients are the generic symbols; a solved family enters later, by
+    substitution.
     """
     d = t.diagram
     check_valid(d, t.boundary)
     edge_of_label = {lab: e for lab, _, e in t.boundary}
     labels = tuple(sorted(edge_of_label))
-    n_nodes, crossing_nodes, signs, const_loops, boundary_nodes = \
-        _kernel_inputs(d, [edge_of_label[lab] for lab in labels])
-    hist = statesum.smoothing_histogram(n_nodes, crossing_nodes, signs,
-                                        boundary_nodes)
-    neg_count = sum(1 for s in signs if s < 0)
-    v_d = len(d.virtual_x)
-    wen_parity = len(d.wens) % 2
-    term = state_term_builder(CoefficientSystem.generic(),
-                              len(signs) - neg_count, neg_count)
-    grouped: dict[Pairing, dict] = {}
-    for key, count in hist.items():
-        vp, ip, vn, inn, loops = key[:5]
-        partition = key[5] if labels else ()     # no endpoints: a closed diagram
-        pairing = frozenset(frozenset(labels[i] for i in cls) for cls in partition)
-        exp, coeff = term(vp, ip, vn, inn, loops + const_loops,
-                          (v_d + vp + vn) % 2, wen_parity)
-        terms = grouped.setdefault(pairing, {})
-        terms[exp] = terms.get(exp, 0) + count * coeff
-    entries = {k: Polynomial(terms) for k, terms in grouped.items()}
-    entries = {k: v for k, v in entries.items() if not v.is_zero()}
+    sums, neg_count = state_sums(d, CoefficientSystem.generic(),
+                                 [edge_of_label[lab] for lab in labels])
+    entries = {frozenset(frozenset(labels[i] for i in cls) for cls in part): value
+               for part, value in sums.items() if not value.is_zero()}
     return TangleBracket(labels, entries, neg_count)
 
 
@@ -181,8 +164,9 @@ class MoveSides:
 
     ``dw``/``dv`` are the writhe and virtual-writhe offsets of lhs relative
     to rhs.  ``generic`` holds D_p = L_p - r^dv * R_p per state pairing p,
-    so closing it once gives a closure's generic equation.  Under a solved
-    family sigma, each pairing becomes one entry
+    so closing it once, with the powers of t in ``t_powers``, gives a
+    closure's generic equation.  Under a solved family sigma, each pairing
+    becomes one entry
 
         E_p = sigma(L_p) * delta^neg_r * omega^max(0, -dw)
               - sigma(R_p) * delta^neg_l * r^dv * omega^max(0, dw),
@@ -196,6 +180,7 @@ class MoveSides:
     dw: int = 0
     dv: int = 0
     generic: TangleBracket = field(init=False)
+    t_powers: list[Polynomial] = field(init=False, repr=False)
     _solved: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
 
@@ -210,6 +195,8 @@ class MoveSides:
         self.generic = TangleBracket(
             self.lhs.labels,
             {k: v for k, v in entries.items() if not v.is_zero()}, 0)
+        arcs = len(self.lhs.labels) // 2
+        self.t_powers = [Polynomial.monomial(1, t=k) for k in range(arcs + 1)]
 
     def pairings(self) -> list[Pairing]:
         """State pairings of either side, in tag order."""
@@ -238,9 +225,8 @@ class MoveSides:
                     entries[pairing] = value
             solved = TangleBracket(self.lhs.labels, entries,
                                    self.lhs.neg_count + self.rhs.neg_count)
-            arcs = len(self.lhs.labels) // 2
-            self._solved[family] = (solved,
-                                    [sigma['t'] ** k for k in range(arcs + 1)])
+            powers = [sigma['t'] ** k for k in range(len(self.t_powers))]
+            self._solved[family] = (solved, powers)
         return self._solved[family]
 
 
@@ -263,8 +249,7 @@ class Constraint:
     def dw(self) -> int:
         return self.sides.dw
 
-    def _read(self, tb: TangleBracket,
-              t_powers: Optional[Sequence[Polynomial]] = None) -> Polynomial:
+    def _read(self, tb: TangleBracket, t_powers: Sequence[Polynomial]) -> Polynomial:
         if self.closure is None:
             return tb.entries.get(self.pairing, Polynomial.zero())
         return close(tb, self.closure, t_powers)
@@ -277,7 +262,7 @@ class Constraint:
         """
         if self.dw != 0:
             raise ValueError('writhe-shifting move has no generic equation')
-        return self._read(self.sides.generic)
+        return self._read(self.sides.generic, self.sides.t_powers)
 
     def residual(self, family: CoefficientSystem) -> Polynomial:
         """Substitute a solved family; zero iff the constraint holds."""

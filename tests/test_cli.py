@@ -9,8 +9,10 @@ import pytest
 
 from weldskein import cli
 from weldskein import moves as mv
-from weldskein.algebra import LaurentPoly
+from weldskein.algebra import (DeltaFraction, LaurentPoly, Polynomial,
+                               to_alpha_beta)
 from weldskein.diagram import parse
+from weldskein.skein import CoefficientSystem, bracket
 
 from conftest import CORPUS_TEXT
 
@@ -44,6 +46,46 @@ class TestEval:
         assert run('eval', files['virtual_hopf'], '--form', 'lambda',
                    '--set', 'r=1', '--set', 's=1') == 0
         assert capsys.readouterr().out.strip() == '4'
+
+    def test_lambda_unknot_oracle(self, files, capsys):
+        # oracle: the bracket of a lone circle is t = -2, writhe 0
+        circle = bracket(parse(CORPUS_TEXT['unknot']),
+                         CoefficientSystem.extended())
+        assert circle == DeltaFraction.from_int(-2)
+        assert run('eval', files['unknot'], '--form', 'lambda') == 0
+        assert capsys.readouterr().out \
+            == LaurentPoly.const(-2, ('lambda',)).render() + '\n'
+
+    def test_lambda_unlink_already_degree_zero(self, files, capsys):
+        assert run('eval', files['unlink2'], '--form', 'lambda') == 0
+        assert capsys.readouterr().out \
+            == LaurentPoly.const(4, ('lambda',)).render() + '\n'
+
+    def test_lambda_virtual_hopf_against_independent_expansion(self, files,
+                                                                capsys):
+        # oracle: the three smoothing states of the single crossing, written
+        # out with plain fraction arithmetic
+        a, b, r = (Polynomial.var(n) for n in 'abr')
+        t = DeltaFraction(Polynomial.const(-2))
+        states = (DeltaFraction(a) * t * t,
+                  DeltaFraction(b) * t * DeltaFraction(r),
+                  DeltaFraction(b) * t * DeltaFraction(r))
+        total = DeltaFraction.from_int(0)
+        for s in states:
+            total = total + s
+        oracle = DeltaFraction(r) * DeltaFraction(-(r * a) - b, 1) * total
+        oracle = oracle.substitute({'r': 1, 's': 1})
+        lp = to_alpha_beta(oracle)
+        assert lp.homogeneous_degree() == 0
+        assert run('eval', files['virtual_hopf'], '--form', 'lambda',
+                   '--set', 'r=1', '--set', 's=1') == 0
+        assert capsys.readouterr().out == lp.dehomogenize().render() + '\n'
+
+    def test_lambda_requires_unit_r_s(self, files, capsys):
+        assert run('eval', files['unknot'], '--form', 'lambda',
+                   '--set', 'r=2') == 1
+        assert "--set expects r=1|-1 or s=1|-1, got 'r=2'" \
+            in capsys.readouterr().err
 
     def test_lambda_requires_extended(self, files, capsys):
         assert run('eval', files['hopf_pos'], '--mode', 'welded', '--nu', '-1',

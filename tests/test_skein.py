@@ -3,14 +3,14 @@ import itertools
 import pytest
 
 from weldskein import statesum
-from weldskein.algebra import (NAMES, DeltaFraction, LaurentPoly, Polynomial,
-                               delta, parse_fraction, to_alpha_beta)
+from weldskein.algebra import (NAMES, DeltaFraction, Polynomial, delta,
+                               parse_fraction, to_alpha_beta)
 from weldskein.diagram import (Diagram, VirtualCrossing, components,
                                disjoint_union, parse, virtual_writhe,
                                wen_count, writhe)
 from weldskein.moves import MoveKind, apply_move, enumerate_sites
 from weldskein.skein import (CoefficientSystem, State, WenError, bracket,
-                             state_value, y_invariant, y_lambda)
+                             state_value, y_invariant)
 
 from conftest import CORPUS_TEXT, WEN_FREE
 
@@ -230,39 +230,3 @@ class TestSpecializations:
         for name in WEN_FREE:
             lp = to_alpha_beta(y_invariant(parse(CORPUS_TEXT[name]), WNEG))
             assert lp.homogeneous_degree() == 0, name
-
-
-class TestYLambda:
-    def test_unknot_oracle(self):
-        # oracle: the bracket of a lone circle is t = -2, writhe 0
-        circle = bracket(parse(CORPUS_TEXT['unknot']), EXT)
-        assert circle == -2 + DeltaFraction.from_int(0)
-        got = y_lambda(parse(CORPUS_TEXT['unknot']))
-        assert got == LaurentPoly.const(-2, ('lambda',))
-
-    def test_unlink_already_degree_zero(self):
-        assert y_lambda(parse(CORPUS_TEXT['unlink2'])) \
-            == LaurentPoly.const(4, ('lambda',))
-
-    def test_virtual_hopf_against_independent_expansion(self):
-        # oracle: the three smoothing states of the single crossing, written
-        # out with plain fraction arithmetic
-        a, b, r = var('a'), var('b'), var('r')
-        t = DeltaFraction(Polynomial.const(-2))
-        states = (DeltaFraction(a) * t * t,
-                  DeltaFraction(b) * t * DeltaFraction(r),
-                  DeltaFraction(b) * t * DeltaFraction(r))
-        total = DeltaFraction.from_int(0)
-        for s in states:
-            total = total + s
-        oracle = DeltaFraction(r) * DeltaFraction(-(r * a) - b, 1) * total
-        oracle = oracle.substitute({'r': 1, 's': 1})
-        lp = to_alpha_beta(oracle)
-        assert lp.homogeneous_degree() == 0
-        expected = lp.dehomogenize()
-        got = y_lambda(parse(CORPUS_TEXT['virtual_hopf']), r=1, s=1)
-        assert got == expected
-
-    def test_requires_unit_r_s(self):
-        with pytest.raises(ValueError):
-            y_lambda(parse(CORPUS_TEXT['unknot']), r=2)

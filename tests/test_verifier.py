@@ -4,8 +4,10 @@ import pytest
 
 from weldskein.algebra import (DeltaFraction, Polynomial, delta,
                                parse_polynomial)
-from weldskein.diagram import UnionFind, parse_tangle, pass_through
-from weldskein.skein import SMOOTHINGS, CoefficientSystem, smoothing_pairs
+from weldskein.diagram import (Tangle, UnionFind, parse, parse_tangle,
+                               pass_through)
+from weldskein.skein import (SMOOTHINGS, CoefficientSystem, bracket,
+                             smoothing_pairs)
 from weldskein.verifier import (Constraint, builtin_moves, close,
                                 constraints_for, f1_branch_residuals,
                                 kink_coefficients, move_constraints,
@@ -13,6 +15,7 @@ from weldskein.verifier import (Constraint, builtin_moves, close,
                                 perfect_matchings, tangle_bracket,
                                 verify_solution)
 
+from conftest import CORPUS_TEXT
 from verifier_reference import reference_move_constraints
 
 GENERIC = CoefficientSystem.generic()
@@ -69,6 +72,12 @@ class TestTangleBracket:
         assert same_up_to_unit(tagged['14:23'], poly('a*y + b*x'))
         assert same_up_to_unit(tagged['12:34'],
                                poly('a*z*r + c*x*r + b*z + c*y + c*z*t'))
+
+    @pytest.mark.parametrize('name', sorted(CORPUS_TEXT))
+    def test_tangle_without_endpoints_is_the_bracket(self, name):
+        d = parse(CORPUS_TEXT[name])
+        tb = tangle_bracket(Tangle(d, ()))
+        assert tb.entries == {frozenset(): bracket(d, GENERIC).num}
 
     def test_close_single_strand_gives_loop(self):
         t = parse_tangle('end 1 in q\nend 2 out q\n')
