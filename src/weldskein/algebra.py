@@ -10,13 +10,13 @@ An exponent vector has one slot per name in ``NAMES``: the ordinary symbols
 carry natural-number exponents, the involutive symbols (r, nu, s) only
 exponent 0 or 1; multiplication reduces involutive exponents modulo 2.
 
-A change of variables alpha = b + a, beta = b - a turns a delta-power
-fraction into a Laurent polynomial with dyadic rational coefficients; see
-:func:`to_alpha_beta` and :meth:`LaurentPoly.dehomogenize`.
-
-Both rings share one sparse core, :class:`_SparsePoly`, with arithmetic,
-equality, hashing and rendering; :class:`Polynomial` and :class:`LaurentPoly`
-add only their validating constructors and their own queries.
+:class:`Polynomial` is the one class that does arithmetic; it combines with
+ints and with other polynomials, and :class:`DeltaFraction` adds the
+delta-power denominators.  A change of variables alpha = b + a,
+beta = b - a turns a delta-power fraction into a Laurent polynomial with
+dyadic rational coefficients (:func:`to_alpha_beta`).  That
+:class:`LaurentPoly` is an output form: it is compared, rendered and
+dehomogenized (:meth:`LaurentPoly.dehomogenize`), never computed with.
 """
 from __future__ import annotations
 
@@ -30,71 +30,90 @@ INVOLUTIVE_NAMES = ('r', 'nu', 's')
 #: The exponent-vector slots of a :class:`Polynomial`, in order.
 NAMES = ORDINARY_NAMES + INVOLUTIVE_NAMES
 _N_ORD, _WIDTH = len(ORDINARY_NAMES), len(NAMES)
-_LAYOUT = (_N_ORD, NAMES)
-
-
-class VariableMismatchError(ValueError):
-    """Raised when combining values of different rings or symbol spaces."""
 
 
 class SubstitutionError(ValueError):
     """Raised for substitutions that leave the representable ring."""
 
 
-def _mul_terms(t1, t2, n_ord, out=None):
+def _mul_terms(t1, t2, out=None):
     """Product of two term maps, added into ``out`` (a new dict if None).
 
-    The first ``n_ord`` exponent slots add; the involutive slots after them
-    add modulo 2.  Zero coefficients may remain in the result.  This is the
-    one place where exponent vectors are multiplied.
+    The ordinary exponent slots add; the involutive slots after them add
+    modulo 2.  Zero coefficients may remain in the result.  This is the one
+    place where exponent vectors are multiplied.
     """
     terms = {} if out is None else out
-    split = [(e2[:n_ord], e2[n_ord:], c2) for e2, c2 in t2.items()]
+    split = [(e2[:_N_ORD], e2[_N_ORD:], c2) for e2, c2 in t2.items()]
     for e1, c1 in t1.items():
-        o1, i1 = e1[:n_ord], e1[n_ord:]
+        o1, i1 = e1[:_N_ORD], e1[_N_ORD:]
         for o2, i2, c2 in split:
             exp = tuple(map(add, o1, o2)) + tuple(map(xor, i1, i2))
             terms[exp] = terms.get(exp, 0) + c1 * c2
     return terms
 
 
-class _SparsePoly:
-    """Sparse map from exponent vectors to nonzero coefficients.
+def _render(terms, names) -> str:
+    """Canonical text form of a term map: sorted monomials, explicit ^ and *."""
+    if not terms:
+        return '0'
+    parts = []
+    for exp in sorted(terms, reverse=True):
+        coeff = terms[exp]
+        factors = [name if e == 1 else f'{name}^{e}'
+                   for name, e in zip(names, exp) if e]
+        mag = abs(coeff)
+        head = [] if mag == 1 and factors else [str(mag)]
+        parts.append(('- ' if coeff < 0 else '+ ') + '*'.join(head + factors))
+    text = ' '.join(parts)
+    return text[2:] if text.startswith('+ ') else '-' + text[2:]
 
-    Subclasses supply ``_layout()``: the number of ordinary exponent slots,
-    which add under multiplication (the involutive ones after them add
-    modulo 2), and the names of all slots.  Values combine only when class
-    and layout agree.  Arithmetic builds its results with ``_new(terms)``.
+
+class Polynomial:
+    """Multivariate polynomial with integer coefficients.
+
+    Terms are stored as a map from exponent vectors (one slot per name in
+    ``NAMES``, involutive slots restricted to 0/1) to nonzero
+    arbitrary-precision integers.  Arithmetic takes polynomials and ints
+    and returns NotImplemented for anything else, so a
+    :class:`DeltaFraction` operand is handled by the fraction.
     """
 
     __slots__ = ('_terms', '_hash')
 
-    _SCALARS: tuple[type, ...] = (int,)
+    def __init__(self, terms: Mapping[tuple[int, ...], int]):
+        clean: dict[tuple[int, ...], int] = {}
+        for exp, coeff in terms.items():
+            if coeff == 0:
+                continue
+            if len(exp) != _WIDTH:
+                raise ValueError(f'exponent vector {exp} has wrong length for {NAMES}')
+            if min(exp) < 0:
+                raise ValueError(f'negative exponent in {exp}')
+            if max(exp[_N_ORD:]) > 1:
+                raise ValueError(f'involutive exponent above 1 in {exp}')
+            clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
+        self._terms = {e: c for e, c in clean.items() if c != 0}
+        self._hash = None
 
-    def _new(self, terms):
-        """A value of this ring from terms that are valid by construction.
+    @classmethod
+    def _new(cls, terms) -> 'Polynomial':
+        """A polynomial from terms that are valid by construction.
 
         Results of arithmetic on valid values skip the per-term checks of
         the public constructor; only zero coefficients are dropped.
         """
-        value = object.__new__(type(self))
+        value = object.__new__(cls)
         value._terms = {e: c for e, c in terms.items() if c}
         value._hash = None
         return value
 
-    def _scalar(self, value):
-        return self._new({(0,) * len(self._layout()[1]): value})
-
-    def _operand(self, other):
-        """``other`` as a value of this ring, or None if it is not one."""
-        if isinstance(other, self._SCALARS):
-            return self._scalar(other)
-        if not isinstance(other, _SparsePoly):
-            return None
-        if type(other) is not type(self) or other._layout() != self._layout():
-            raise VariableMismatchError(
-                f'symbol spaces differ: {self._layout()[1]} and {other._layout()[1]}')
-        return other
+    @classmethod
+    def _operand(cls, other) -> Optional['Polynomial']:
+        """``other`` as a polynomial, or None if it is not an int or one."""
+        if isinstance(other, int):
+            return cls._new({(0,) * _WIDTH: other})
+        return other if isinstance(other, Polynomial) else None
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -107,12 +126,10 @@ class _SparsePoly:
         return dict(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, self._SCALARS):
-            other = self._scalar(other)
-        if not isinstance(other, _SparsePoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return (type(other) is type(self) and self._layout() == other._layout()
-                and self._terms == other._terms)
+        return self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
@@ -121,7 +138,7 @@ class _SparsePoly:
                 # a constant, zero included: hash like the number it equals
                 self._hash = hash(next(iter(terms.values()), 0))
             else:
-                self._hash = hash((self._layout(), frozenset(terms.items())))
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __add__(self, other):
@@ -145,65 +162,22 @@ class _SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
+        if isinstance(other, int):
             return self._new({e: c * other for e, c in self._terms.items()})
-        other = self._operand(other)
-        if other is None:
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._new(_mul_terms(self._terms, other._terms,
-                                    self._layout()[0]))
+        return self._new(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def render(self) -> str:
         """Canonical text form: sorted monomials, explicit ^ and *."""
-        if not self._terms:
-            return '0'
-        names = self._layout()[1]
-        parts = []
-        for exp in sorted(self._terms, reverse=True):
-            coeff = self._terms[exp]
-            factors = [name if e == 1 else f'{name}^{e}'
-                       for name, e in zip(names, exp) if e]
-            mag = abs(coeff)
-            head = [] if mag == 1 and factors else [str(mag)]
-            parts.append(('- ' if coeff < 0 else '+ ') + '*'.join(head + factors))
-        text = ' '.join(parts)
-        return text[2:] if text.startswith('+ ') else '-' + text[2:]
+        return _render(self._terms, NAMES)
 
     __str__ = render
 
     def __repr__(self):
-        return f'{type(self).__name__}({self.render()})'
-
-
-class Polynomial(_SparsePoly):
-    """Multivariate polynomial with integer coefficients.
-
-    Terms are stored as a map from exponent vectors (one slot per name in
-    ``NAMES``, involutive slots restricted to 0/1) to nonzero
-    arbitrary-precision integers.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[tuple[int, ...], int]):
-        clean: dict[tuple[int, ...], int] = {}
-        for exp, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if len(exp) != _WIDTH:
-                raise ValueError(f'exponent vector {exp} has wrong length for {NAMES}')
-            if min(exp) < 0:
-                raise ValueError(f'negative exponent in {exp}')
-            if max(exp[_N_ORD:]) > 1:
-                raise ValueError(f'involutive exponent above 1 in {exp}')
-            clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
-        self._terms = {e: c for e, c in clean.items() if c != 0}
-        self._hash = None
-
-    def _layout(self) -> tuple[int, tuple[str, ...]]:
-        return _LAYOUT
+        return f'Polynomial({self.render()})'
 
     # -- constructors ------------------------------------------------------
 
@@ -235,8 +209,8 @@ class Polynomial(_SparsePoly):
         """The sum of p * q over the pairs, accumulated in one term map."""
         terms: dict = {}
         for p, q in pairs:
-            _mul_terms(p._terms, q._terms, _N_ORD, terms)
-        return cls.zero()._new(terms)
+            _mul_terms(p._terms, q._terms, terms)
+        return cls._new(terms)
 
     def __pow__(self, n: int) -> 'Polynomial':
         if n < 0:
@@ -316,8 +290,8 @@ class Polynomial(_SparsePoly):
                 continue
             image = {kept: coeff}
             for power in factors[:-1]:
-                image = _mul_terms(image, power, _N_ORD)
-            _mul_terms(image, factors[-1], _N_ORD, out)
+                image = _mul_terms(image, power)
+            _mul_terms(image, factors[-1], out)
         return self._new(out)
 
 
@@ -474,18 +448,19 @@ class DeltaFraction:
 # -- alpha/beta Laurent polynomials -----------------------------------------
 
 
-class LaurentPoly(_SparsePoly):
-    """Laurent polynomial with rational coefficients.
+class LaurentPoly:
+    """Laurent polynomial with rational coefficients, as an output form.
 
     Ordinary variables take arbitrary integer exponents; the involutive
     variables r and s tag along with exponents 0/1.  ``variables`` is the
     tuple of ordinary variable names: ('alpha', 'beta') or ('lambda',).
+    It does no arithmetic: mixing it with a :class:`Polynomial` raises
+    TypeError.
     """
 
-    __slots__ = ('variables',)
+    __slots__ = ('variables', '_terms')
 
     INVOLUTIVE = ('r', 's')
-    _SCALARS = (int, QQ)
 
     def __init__(self, variables: tuple[str, ...],
                  terms: Mapping[tuple[int, ...], QQ]):
@@ -502,22 +477,28 @@ class LaurentPoly(_SparsePoly):
                 raise ValueError('involutive exponent above 1')
             clean[tuple(exp)] = clean.get(tuple(exp), QQ(0)) + coeff
         self._terms = {e: c for e, c in clean.items() if c != 0}
-        self._hash = None
-
-    def _new(self, terms) -> 'LaurentPoly':
-        # through the constructor, which makes every coefficient a Fraction
-        return LaurentPoly(self.variables, terms)
-
-    def _layout(self) -> tuple[int, tuple[str, ...]]:
-        return len(self.variables), self.variables + self.INVOLUTIVE
-
-    @classmethod
-    def zero(cls, variables=('alpha', 'beta')) -> 'LaurentPoly':
-        return cls(variables, {})
 
     @classmethod
     def const(cls, value, variables=('alpha', 'beta')) -> 'LaurentPoly':
         return cls(variables, {(0,) * (len(variables) + 2): QQ(value)})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.variables == other.variables and self._terms == other._terms
+
+    def terms(self) -> dict:
+        """Copy of the term map (exponent vector -> coefficient)."""
+        return dict(self._terms)
+
+    def render(self) -> str:
+        """Canonical text form: sorted monomials, explicit ^ and *."""
+        return _render(self._terms, self.variables + self.INVOLUTIVE)
+
+    __str__ = render
+
+    def __repr__(self):
+        return f'LaurentPoly({self.render()})'
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree in the ordinary variables, or None."""

@@ -51,7 +51,8 @@ def _check_counts(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if value < 0:
-            raise CliError(f'--{name} must be at least 0, got {value}')
+            option = '--' + name.replace('_', '-')
+            raise CliError(f'{option} must be at least 0, got {value}')
 
 
 def _load(path: str) -> dg.Diagram:
@@ -145,7 +146,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_scramble(args) -> int:
-    _check_counts(args, 'moves')
+    _check_counts(args, 'moves', 'size_cap')
     d = _load(args.input)
     out = mv.scramble(d, seed=args.seed, n_moves=args.moves,
                       size_cap=args.size_cap)
@@ -161,7 +162,7 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_check_invariance(args) -> int:
-    _check_counts(args, 'trials', 'moves')
+    _check_counts(args, 'trials', 'moves', 'size_cap')
     d = _load(args.input)
     cs = _coefficient_system(args)
     try:

@@ -13,10 +13,11 @@ kernel (``statesum.smoothing_histogram``) counts the states by coefficient
 shape, and the counts become one polynomial per way the states join a set
 of boundary edges.  ``bracket`` is the closed case, with no boundary; the
 verifier's ``tangle_bracket`` keeps the tangle endpoints open.
-``state_value`` evaluates one state on its own and serves as the oracle
+``state_value`` evaluates one state on its own, as the state's generic
+monomial with the family's substitution applied, and serves as the oracle
 for that path.  Y multiplies the bracket by r^(virtual writhe) and by the
 inverse writhe power of omega = a*r - nu*b, whose inverse is
-(-r*a - nu*b)/delta.
+(-r*a - nu*b)/delta, in one product.
 
 Coefficient systems:
 
@@ -99,27 +100,6 @@ class CoefficientSystem:
         a, b = Polynomial.var('a'), Polynomial.var('b')
         return {'c': nu * b, 't': nu * -2, 'x': -a, 'y': b, 'z': nu * b}
 
-    def _values(self, names: str, delta_power: int = 0) -> tuple[DeltaFraction, ...]:
-        """The named coefficients; solved images are divided by delta^delta_power."""
-        sub = self.substitution()
-        return tuple(DeltaFraction(sub[n], delta_power) if n in sub
-                     else DeltaFraction(Polynomial.var(n)) for n in names)
-
-    def positive_triple(self) -> tuple[DeltaFraction, ...]:
-        return self._values('abc')
-
-    def negative_triple(self) -> tuple[DeltaFraction, ...]:
-        return self._values('xyz', delta_power=1)
-
-    def t_value(self) -> DeltaFraction:
-        return self._values('t')[0]
-
-    def r_value(self) -> DeltaFraction:
-        return DeltaFraction(Polynomial.var('r'))
-
-    def s_value(self) -> DeltaFraction:
-        return DeltaFraction(Polynomial.var('s'))
-
     def omega(self) -> Polynomial:
         """The kink unit a*r - nu*b (solved modes)."""
         if not self.is_solved:
@@ -193,27 +173,24 @@ def state_loops(d: Diagram, s: State) -> int:
 
 
 def state_value(d: Diagram, s: State, cs: CoefficientSystem) -> DeltaFraction:
-    """Value of one smoothing state: coeff * t^loops * r^parity * s^wens."""
+    """Value of one smoothing state: coeff * t^loops * r^parity * s^wens.
+
+    The state's generic monomial, with the solved family's
+    ``CoefficientSystem.substitution`` applied and one delta restored per
+    negative crossing.
+    """
     if len(s.assignment) != len(d.classical):
         raise ValueError('state must assign a smoothing to every classical crossing')
     _check_wens(d, cs)
-    pos = cs.positive_triple()
-    neg = cs.negative_triple()
-    value = DeltaFraction.from_int(1)
-    n_virt = 0
+    powers = {'t': state_loops(d, s),
+              'r': (len(d.virtual_x) + s.assignment.count('V')) % 2,
+              's': len(d.wens) % 2}
     for c, sm in zip(d.classical, s.assignment):
-        triple = pos if c.sign > 0 else neg
-        value = value * triple[SMOOTHINGS.index(sm)]
-        if sm == 'V':
-            n_virt += 1
-    loops = state_loops(d, s)
-    value = value * cs.t_value() ** loops
-    parity = (len(d.virtual_x) + n_virt) % 2
-    if parity:
-        value = value * cs.r_value()
-    if len(d.wens) % 2:
-        value = value * cs.s_value()
-    return value
+        name = ('abc' if c.sign > 0 else 'xyz')[SMOOTHINGS.index(sm)]
+        powers[name] = powers.get(name, 0) + 1
+    value = Polynomial.monomial(1, **powers).substitute(cs.substitution())
+    n_neg = sum(1 for c in d.classical if c.sign < 0)
+    return DeltaFraction(value, n_neg if cs.is_solved else 0)
 
 
 # -- state sums via the histogram kernel -------------------------------------
@@ -312,11 +289,9 @@ def y_invariant(d: Diagram, cs: CoefficientSystem, *,
     if not cs.is_solved:
         raise ValueError('the normalized invariant needs a solved family')
     value = bracket(d, cs, check_wens=check_wens)
-    if virtual_writhe(d)[1]:
-        value = value * cs.r_value()
     w = writhe(d)
-    if w >= 0:
-        value = value * cs.omega_inverse() ** w
-    else:
-        value = value * DeltaFraction(cs.omega() ** (-w))
-    return value
+    unit = cs.omega_inverse().num ** w if w >= 0 else cs.omega() ** -w
+    if virtual_writhe(d)[1]:
+        unit = unit * Polynomial.var('r')
+    # one canonicalization of the product: omega^-1 = (-r*a - nu*b)/delta
+    return DeltaFraction(value.num * unit, value.delta_power + max(w, 0))

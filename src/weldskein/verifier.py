@@ -418,20 +418,21 @@ def constraints_for(move_name: str) -> ConstraintSet:
 # -- kink expansions and the solved-family report ------------------------------
 
 
-def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
-    """Expansion coefficients of the positive and negative kink tangles.
+def _kink(tb: TangleBracket, family: CoefficientSystem) -> DeltaFraction:
+    """A kink tangle's coefficient under ``family``.
 
-    Derived from the tangle brackets, not hardcoded: the strand-pairing value
-    of the kink equals coeff * [plain strand].
+    Derived from the tangle bracket, not hardcoded: the kink's one
+    strand-pairing value equals coeff * [plain strand].
     """
-    subst = family.substitution()
-    out = []
-    for name in ('r1a', 'r1b'):
-        schema = builtin_moves()[name]
-        tb = tangle_bracket(parse_tangle(schema.lhs))
-        [(pairing, poly)] = tb.entries.items()
-        out.append(DeltaFraction(poly.substitute(subst), tb.neg_count))
-    return out[0], out[1]
+    [poly] = tb.entries.values()
+    return DeltaFraction(poly.substitute(family.substitution()), tb.neg_count)
+
+
+def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
+    """Expansion coefficients of the positive and negative kink tangles."""
+    moves = builtin_moves()
+    return tuple(_kink(tangle_bracket(parse_tangle(moves[name].lhs)), family)
+                 for name in ('r1a', 'r1b'))
 
 
 @dataclass
@@ -491,8 +492,11 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
     if not family.is_solved:
         raise ValueError('verify_solution needs a solved family')
     checks = []
+    kinks = {}
     for name in builtin_moves():
         cset = constraints_for(name)
+        if name in ('r1a', 'r1b'):
+            kinks[name] = _kink(cset.constraints[0].sides.lhs, family)
         residuals = []
         for c in cset.constraints:
             res = c.residual(family)
@@ -502,7 +506,7 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
             all(c.dw == 0 for c in cset.constraints) else len(cset.constraints)
         checks.append(MoveCheck(name, cset.n_closures, n_eq,
                                 not residuals, residuals))
-    kpos, kneg = kink_coefficients(family)
+    kpos, kneg = kinks['r1a'], kinks['r1b']
     reciprocal = (kpos * kneg == DeltaFraction.from_int(1))
     return SolutionReport(family.describe(), checks, kpos, kneg, reciprocal,
                           t4_expected=(family.nu == 1))

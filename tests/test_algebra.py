@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from weldskein.algebra import (INVOLUTIVE_NAMES, NAMES, ORDINARY_NAMES,
                                DeltaFraction, LaurentPoly, Polynomial,
-                               PolyParseError, SubstitutionError,
-                               VariableMismatchError, delta, divide_by_delta,
-                               parse_fraction, parse_polynomial, to_alpha_beta)
+                               PolyParseError, SubstitutionError, delta,
+                               divide_by_delta, parse_fraction,
+                               parse_polynomial, to_alpha_beta)
 from weldskein.skein import CoefficientSystem
 
 
@@ -178,7 +178,7 @@ class TestAlphaBeta:
 
 
 class TestSharedCore:
-    """Polynomial and LaurentPoly share one arithmetic and rendering core."""
+    """Polynomial and LaurentPoly share one renderer; only Polynomial computes."""
 
     def test_laurent_render_negative_and_fractional(self):
         lp = LaurentPoly(('alpha', 'beta'), {(-1, -1, 0, 0): QQ(1, 2)})
@@ -190,27 +190,22 @@ class TestSharedCore:
         assert lp.render() == '-3*lambda^2*r + 1/4*s - 5/2*lambda^-1*r*s + lambda^-2'
         assert repr(LaurentPoly.const(QQ(-7, 3))) == 'LaurentPoly(-7/3)'
 
-    def test_laurent_involutive_tags_multiply_mod_two(self):
-        rl = LaurentPoly(('lambda',), {(1, 1, 0): 1})
-        assert rl * rl == LaurentPoly(('lambda',), {(2, 0, 0): 1})
-
     @pytest.mark.parametrize('op', [operator.add, operator.mul, operator.sub],
                              ids=['add', 'mul', 'sub'])
     def test_polynomial_and_laurent_do_not_mix(self, op):
         p, lp = Polynomial.one(), LaurentPoly.const(1)
-        with pytest.raises(VariableMismatchError):
+        with pytest.raises(TypeError):
             op(p, lp)
-        with pytest.raises(VariableMismatchError):
+        with pytest.raises(TypeError):
             op(lp, p)
 
     def test_polynomial_and_laurent_compare_unequal(self):
         p, lp = Polynomial.one(), LaurentPoly.const(1)
         assert p != lp and lp != p
-        assert p == 1 and lp == 1
+        assert p == 1 and lp == LaurentPoly.const(1)
 
     def test_laurent_spaces_do_not_mix(self):
-        with pytest.raises(VariableMismatchError):
-            LaurentPoly.const(1) + LaurentPoly.const(1, ('lambda',))
+        assert LaurentPoly.const(1) != LaurentPoly.const(1, ('lambda',))
 
 
 class TestHashing:
@@ -218,12 +213,9 @@ class TestHashing:
 
     def test_constants_hash_like_their_value(self):
         for n in (0, 1, -3):
-            for value in (Polynomial.const(n), DeltaFraction.from_int(n),
-                          LaurentPoly.const(n), LaurentPoly.const(n, ('lambda',))):
+            for value in (Polynomial.const(n), DeltaFraction.from_int(n)):
                 assert value == n and hash(value) == hash(n), value
                 assert len({n, value}) == 1
-        half = LaurentPoly.const(QQ(1, 2))
-        assert half == QQ(1, 2) and len({QQ(1, 2), half}) == 1
 
     def test_fraction_without_denominator_hashes_like_numerator(self):
         for p in (a, a * r - nu * b, Polynomial.zero()):
@@ -296,12 +288,27 @@ def ab_polynomials():
     return st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=5).map(build)
 
 
+def ab_points():
+    """Rational (a, b, r, s) with b^2 != a^2, so delta does not vanish."""
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    return st.tuples(q, q, q, q).filter(lambda pt: pt[1] ** 2 != pt[0] ** 2)
+
+
 @settings(max_examples=100, deadline=None)
-@given(ab_polynomials(), ab_polynomials())
-def test_alpha_beta_is_ring_homomorphism(p, q):
-    fp, fq = DeltaFraction(p), DeltaFraction(q)
-    assert to_alpha_beta(fp + fq) == to_alpha_beta(fp) + to_alpha_beta(fq)
-    assert to_alpha_beta(fp * fq) == to_alpha_beta(fp) * to_alpha_beta(fq)
+@given(ab_polynomials(), st.integers(0, 2), ab_points())
+def test_alpha_beta_agrees_with_evaluation(p, k, point):
+    a_, b_, r_, s_ = point
+    f = DeltaFraction(p, k)
+    direct = QQ(0)
+    for exp, coeff in f.num.terms().items():
+        e = dict(zip(NAMES, exp))
+        direct += coeff * a_ ** e['a'] * b_ ** e['b'] * r_ ** e['r'] * s_ ** e['s']
+    direct /= (b_ ** 2 - a_ ** 2) ** f.delta_power
+    alpha, beta = b_ + a_, b_ - a_
+    mapped = sum((c * alpha ** ea * beta ** eb * r_ ** er * s_ ** es
+                  for (ea, eb, er, es), c in to_alpha_beta(f).terms().items()),
+                 QQ(0))
+    assert mapped == direct
 
 
 @settings(max_examples=100, deadline=None)

@@ -203,9 +203,14 @@ class TestScramble:
         else:
             assert out == CORPUS_TEXT['hopf_pos'] + '\n'
 
+    def test_negative_size_cap_rejected(self, files, capsys):
+        assert run('scramble', files['hopf_pos'], '--size-cap', '-1') == 1
+        assert capsys.readouterr() == (
+            '', 'error: --size-cap must be at least 0, got -1\n')
+
 
 class TestCheckInvariance:
-    @pytest.mark.parametrize('option', ['--trials', '--moves'])
+    @pytest.mark.parametrize('option', ['--trials', '--moves', '--size-cap'])
     def test_negative_counts_rejected(self, files, capsys, option):
         assert run('check-invariance', files['kink_pos'], option, '-2',
                    '--json') == 1

@@ -38,11 +38,10 @@ class TestCoefficientSystem:
             CoefficientSystem('generic', 1)
 
     def test_solved_triples(self):
-        pos = WSYM.positive_triple()
-        assert [p.render() for p in pos] == ['a', 'b', 'b*nu']
-        neg = WSYM.negative_triple()
-        assert neg[0] == DeltaFraction(-var('a'), 1)
-        assert WSYM.t_value() == DeltaFraction(Polynomial.const(-2) * var('nu'))
+        sub = WSYM.substitution()
+        assert {n: p.render() for n, p in sub.items()} == {
+            'c': 'b*nu', 't': '-2*nu', 'x': '-a', 'y': 'b', 'z': 'b*nu'}
+        assert CoefficientSystem.generic().substitution() == {}
 
     def test_omega_reciprocal(self):
         for cs in (WSYM, WNEG, EXT):
@@ -172,9 +171,9 @@ class TestYInvariant:
             else:
                 expected = expected * EXT.omega_inverse() ** (-w)
             if virtual_writhe(d)[1]:
-                expected = expected * EXT.r_value()
+                expected = expected * var('r')
             if wen_count(d)[1]:
-                expected = expected * EXT.s_value()
+                expected = expected * var('s')
             assert bracket(d, EXT) == expected, name
 
     def test_welded_negative_hopf(self):

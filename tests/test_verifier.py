@@ -221,6 +221,18 @@ class TestVerifySolution:
         assert kneg == DeltaFraction(-(r * a) - nu * b, 1)
         assert kpos * kneg == DeltaFraction.from_int(1)
 
+    @pytest.mark.parametrize('family', [
+        CoefficientSystem.welded(1), CoefficientSystem.welded(-1),
+        CoefficientSystem.welded(None), CoefficientSystem.extended()],
+        ids=['nu1', 'nu-1', 'nu-sym', 'extended'])
+    def test_kinks_match_hand_written_omega(self, family):
+        # omega and omega_inverse are written by hand, not read from the
+        # substitution table; the kink tangles derive them from the table
+        kinks = kink_coefficients(family)
+        assert kinks == (DeltaFraction(family.omega()), family.omega_inverse())
+        report = verify_solution(family)
+        assert (report.kink_positive, report.kink_negative) == kinks
+
     def test_generic_family_rejected(self):
         with pytest.raises(ValueError):
             verify_solution(GENERIC)
