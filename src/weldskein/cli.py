@@ -16,7 +16,8 @@ from weldskein import diagram as dg
 from weldskein import moves as mv
 from weldskein.algebra import SubstitutionError, to_alpha_beta
 from weldskein.diagram import DiagramError, ParseError
-from weldskein.skein import CoefficientSystem, WenError, y_invariant
+from weldskein.skein import (CoefficientSystem, WenError, linking_y,
+                             y_invariant)
 from weldskein.verifier import (builtin_moves, constraints_for,
                                 normalize_equation, verify_solution)
 
@@ -42,6 +43,8 @@ def _parse_sets(pairs) -> dict[str, int]:
         name, _, value = item.partition('=')
         if name not in ('r', 's') or value not in ('1', '-1'):
             raise CliError(f"--set expects r=1|-1 or s=1|-1, got {item!r}")
+        if name in out:
+            raise CliError(f'--set gives {name} more than once')
         out[name] = int(value)
     return out
 
@@ -84,7 +87,7 @@ def cmd_eval(args) -> int:
     cs = _coefficient_system(args)
     sets = _parse_sets(args.set)
     try:
-        value = y_invariant(d, cs)
+        value = linking_y(d, cs)
     except WenError as exc:
         raise CliError(f'{exc} (extended mode admits wens)', 1)
     if sets:

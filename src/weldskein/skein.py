@@ -19,6 +19,11 @@ for that path.  Y multiplies the bracket by r^(virtual writhe) and by the
 inverse writhe power of omega = a*r - nu*b, whose inverse is
 (-r*a - nu*b)/delta, in one product.
 
+``linking_y`` gets the same Y with no state sum, from the number of
+components and their pairwise linking numbers (docs/linking-numbers.md
+proves it); ``eval`` uses it.  ``y_invariant`` stays the state sum, which
+``check-invariance`` and the tests hold the moves and ``linking_y`` to.
+
 Coefficient systems:
 
 * generic       positive triple (a, b, c), negative (x, y, z), free t:
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from weldskein import statesum
-from weldskein.algebra import DeltaFraction, Polynomial
-from weldskein.diagram import (Diagram, check_valid, pass_through,
+from weldskein.algebra import DeltaFraction, Polynomial, delta
+from weldskein.diagram import (Diagram, UnionFind, check_valid, pass_through,
                                virtual_writhe, writhe)
 
 SMOOTHINGS = ('V', 'I', 'C')
@@ -295,3 +300,72 @@ def y_invariant(d: Diagram, cs: CoefficientSystem, *,
         unit = unit * Polynomial.var('r')
     # one canonicalization of the product: omega^-1 = (-r*a - nu*b)/delta
     return DeltaFraction(value.num * unit, value.delta_power + max(w, 0))
+
+
+def linking_y(d: Diagram, cs: CoefficientSystem) -> DeltaFraction:
+    """Y from the components and their linking numbers; equals ``y_invariant``.
+
+    With c components (free loops included) and L_ij the sum of the signs
+    of the classical crossings between components i and j:
+    nu = 1 gives (-2)^c * s^(wens mod 2); nu = -1 gives the sum, over the
+    2^c ways z of cutting the components in two, of
+    rho^(sum of L_ij over the cut pairs), where rho = -(a*r - b)^2/delta
+    and 1/rho = -(a*r + b)^2/delta; symbolic nu gives the A + nu*B that
+    takes those two values.  docs/linking-numbers.md has the proof.
+    """
+    if not cs.is_solved:
+        raise ValueError('the normalized invariant needs a solved family')
+    check_valid(d)
+    _check_wens(d, cs)
+    strands = pass_through(d)
+    for c in d.classical:
+        strands.union(c.over_in, c.over_out)
+        strands.union(c.under_in, c.under_out)
+    n_comp = len(strands.roots()) + d.free_loops
+    y_plus = Polynomial.monomial((-2) ** n_comp, s=len(d.wens) % 2)
+    if cs.nu == 1:
+        return DeltaFraction(y_plus)
+    linking: dict[tuple[str, ...], int] = {}
+    for c in d.classical:
+        pair = tuple(sorted((strands.find(c.over_in), strands.find(c.under_in))))
+        if pair[0] != pair[1]:
+            linking[pair] = linking.get(pair, 0) + c.sign
+    linking = {pair: l for pair, l in linking.items() if l}
+    parts = UnionFind()
+    for i, j in linking:
+        parts.union(i, j)
+    members: dict[str, list[str]] = {}
+    for comp in parts.parent:
+        members.setdefault(parts.find(comp), []).append(comp)
+    # cut exponent -> number of cuts; a component that links no other one
+    # adds a factor 2, and so does each linked part, whose first component
+    # stays on side 0 because z and -z cut the same pairs
+    hist = {0: 2 ** (n_comp - len(parts.parent))}
+    for comps in members.values():
+        index = {comp: k for k, comp in enumerate(comps)}
+        edges = [(index[i], index[j], l)
+                 for (i, j), l in linking.items() if i in index]
+        cuts: dict[int, int] = {}
+        for side in range(0, 1 << len(comps), 2):
+            e = sum(l for i, j, l in edges if (side >> i ^ side >> j) & 1)
+            cuts[e] = cuts.get(e, 0) + 2
+        joint: dict[int, int] = {}
+        for e, n in hist.items():
+            for f, m in cuts.items():
+                joint[e + f] = joint.get(e + f, 0) + n * m
+        hist = joint
+    # one numerator over delta^top, one power per exponent: rho * delta is
+    # up = -(a*r - b)^2 and delta / rho is down = -(a*r + b)^2
+    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
+    up, down, top = -(ar - b) ** 2, -(ar + b) ** 2, max(map(abs, hist))
+    num = Polynomial.sum_of_products(
+        ((up if e > 0 else down) ** abs(e) * n, delta() ** (top - abs(e)))
+        for e, n in hist.items())
+    if cs.nu == -1:
+        return DeltaFraction(num, top)
+    # nu^2 = 1, so Y = A + nu*B with A + B = Y(1) and A - B = Y(-1).  The
+    # difference halves exactly: with c > 0, (-2)^c and every count above
+    # are even, and with c = 0 both values are 1.
+    half = y_plus * delta() ** top - num
+    half = Polynomial({e: k // 2 for e, k in half.terms().items()})
+    return DeltaFraction(num + half + Polynomial.var('nu') * half, top)

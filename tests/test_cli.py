@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from weldskein import cli
+from weldskein import cli, statesum
 from weldskein import moves as mv
 from weldskein.algebra import (DeltaFraction, LaurentPoly, Polynomial,
                                to_alpha_beta)
 from weldskein.diagram import parse
-from weldskein.skein import CoefficientSystem, bracket
+from weldskein.skein import CoefficientSystem, bracket, y_invariant
 
 from conftest import CORPUS_TEXT
 
@@ -86,6 +86,34 @@ class TestEval:
                    '--set', 'r=2') == 1
         assert "--set expects r=1|-1 or s=1|-1, got 'r=2'" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize('sets', (('r=1', 'r=-1'), ('s=1', 's=1')))
+    def test_repeated_set_name_rejected(self, files, capsys, sets):
+        name = sets[0][0]
+        assert run('eval', files['hopf_pos'], '--json', '--set', sets[0],
+                   '--set', sets[1]) == 1
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert err == f'error: --set gives {name} more than once\n'
+
+    @pytest.mark.parametrize('name, cs, family', (
+        ('wen_hopf', CoefficientSystem.extended(), ('--mode', 'extended')),
+        ('braid_link', CoefficientSystem.welded(1),
+         ('--mode', 'welded', '--nu', '1')),
+        ('braid_link', CoefficientSystem.welded(-1),
+         ('--mode', 'welded', '--nu', '-1')),
+        ('virtual_trefoil', CoefficientSystem.welded(None),
+         ('--mode', 'welded', '--nu', 'sym'))))
+    def test_eval_runs_no_state_sum(self, files, capsys, monkeypatch, name,
+                                    cs, family):
+        expected = y_invariant(parse(CORPUS_TEXT[name]), cs).render()
+
+        def no_kernel(*args):
+            raise AssertionError('eval reached the state-sum kernel')
+
+        monkeypatch.setattr(statesum, 'smoothing_histogram', no_kernel)
+        assert run('eval', files[name], *family) == 0
+        assert capsys.readouterr().out == expected + '\n'
 
     def test_lambda_requires_extended(self, files, capsys):
         assert run('eval', files['hopf_pos'], '--mode', 'welded', '--nu', '-1',
