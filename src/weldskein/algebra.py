@@ -82,6 +82,7 @@ class Polynomial:
     __slots__ = ('_terms', '_hash')
 
     def __init__(self, terms: Mapping[tuple[int, ...], int]):
+        # one pass: check each nonzero term and add it in
         clean: dict[tuple[int, ...], int] = {}
         for exp, coeff in terms.items():
             if coeff == 0:
@@ -92,8 +93,13 @@ class Polynomial:
                 raise ValueError(f'negative exponent in {exp}')
             if max(exp[_N_ORD:]) > 1:
                 raise ValueError(f'involutive exponent above 1 in {exp}')
-            clean[tuple(exp)] = clean.get(tuple(exp), 0) + coeff
-        self._terms = {e: c for e, c in clean.items() if c != 0}
+            exp = tuple(exp)
+            if exp in clean:    # keys that differ only in sequence type
+                coeff += clean.pop(exp)
+                if coeff == 0:
+                    continue
+            clean[exp] = coeff
+        self._terms = clean
         self._hash = None
 
     @classmethod
@@ -203,6 +209,16 @@ class Polynomial:
         for name, e in powers.items():
             exp[NAMES.index(name)] = e
         return cls({tuple(exp): coeff})
+
+    @classmethod
+    def sum_of(cls, values: Iterable['Polynomial']) -> 'Polynomial':
+        """The sum of the values, accumulated in one term map."""
+        terms: dict = {}
+        get = terms.get
+        for value in values:
+            for exp, c in value._terms.items():
+                terms[exp] = get(exp, 0) + c
+        return cls._new(terms)
 
     @classmethod
     def sum_of_products(cls, pairs: Iterable[tuple['Polynomial', 'Polynomial']]) -> 'Polynomial':

@@ -312,6 +312,9 @@ def linking_y(d: Diagram, cs: CoefficientSystem) -> DeltaFraction:
     rho^(sum of L_ij over the cut pairs), where rho = -(a*r - b)^2/delta
     and 1/rho = -(a*r + b)^2/delta; symbolic nu gives the A + nu*B that
     takes those two values.  docs/linking-numbers.md has the proof.
+    The cut sum factors over the parts of the graph of nonzero L_ij: a
+    part that is a tree gives 2 * prod(1 + rho^L) over its edges, in
+    linear time, and any other part sums its 2^(size - 1) cuts.
     """
     if not cs.is_solved:
         raise ValueError('the normalized invariant needs a solved family')
@@ -345,10 +348,21 @@ def linking_y(d: Diagram, cs: CoefficientSystem) -> DeltaFraction:
         index = {comp: k for k, comp in enumerate(comps)}
         edges = [(index[i], index[j], l)
                  for (i, j), l in linking.items() if i in index]
-        cuts: dict[int, int] = {}
-        for side in range(0, 1 << len(comps), 2):
-            e = sum(l for i, j, l in edges if (side >> i ^ side >> j) & 1)
-            cuts[e] = cuts.get(e, 0) + 2
+        if len(edges) == len(comps) - 1:
+            # a tree: the cut edges fix z, so each edge is cut or not on
+            # its own and the cuts are 2 * prod(1 + rho^L) over the edges
+            cuts: dict[int, int] = {0: 2}
+            for _, _, l in edges:
+                both: dict[int, int] = {}
+                for e, n in cuts.items():
+                    both[e] = both.get(e, 0) + n
+                    both[e + l] = both.get(e + l, 0) + n
+                cuts = both
+        else:
+            cuts = {}
+            for side in range(0, 1 << len(comps), 2):
+                e = sum(l for i, j, l in edges if (side >> i ^ side >> j) & 1)
+                cuts[e] = cuts.get(e, 0) + 2
         joint: dict[int, int] = {}
         for e, n in hist.items():
             for f, m in cuts.items():

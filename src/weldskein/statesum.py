@@ -26,6 +26,8 @@ def _sweep_order(crossing_nodes: Sequence[int], n: int) -> list[int]:
     on nodes already met, ties going to the lowest index.  Keeping the
     crossings that close the frontier first keeps the frontier narrow.
     """
+    if n <= 2:      # all scores are 0 at the first pick: 0, then 1
+        return list(range(n))
     crossings_at: dict[int, list[int]] = {}
     for slot, node in enumerate(crossing_nodes):
         crossings_at.setdefault(node, []).append(slot >> 2)
@@ -67,13 +69,13 @@ def smoothing_histogram(n_nodes: int,
     if len(crossing_nodes) != 4 * n:
         raise ValueError('need 4 node ids per crossing')
     boundary = tuple(boundary_nodes)
-    if any(not 0 <= i < n_nodes for i in (*crossing_nodes, *boundary)):
+    nodes = (*crossing_nodes, *boundary)
+    if nodes and (min(nodes) < 0 or max(nodes) >= n_nodes):
         raise ValueError(f'node ids must lie in range({n_nodes})')
     order = _sweep_order(crossing_nodes, n)
-    last = {}                   # node -> the sweep step of its last slot
-    for step, j in enumerate(order):
-        for node in crossing_nodes[4 * j:4 * j + 4]:
-            last[node] = step
+    last = {node: step          # node -> the sweep step of its last slot
+            for step, j in enumerate(order)
+            for node in crossing_nodes[4 * j:4 * j + 4]}
     for node in boundary:
         last[node] = n          # boundary nodes never leave the frontier
 

@@ -11,15 +11,18 @@ coefficients.
 
 A closure multiplies each pairing's entry by t^cycles, where the cycles
 are the closed curves that the state's strands form with the closure's
-arcs, counted by walking the two perfect matchings.  A closure is linear
-in the entries, so the two sides are combined once per pairing
+arcs.  So the closures of a bracket with entries D are the rows of
+G(t) . D, where G[q][p] = t^cycles(p, q) is the Gram matrix of the
+Brauer algebra on the endpoints; it depends only on the labels, and
+:func:`gram` keeps one table per label tuple.  A closure is linear in the
+entries, so the two sides are combined once per pairing
 (:class:`MoveSides`) and every equation is one closure of the combined
 entries, or one combined entry for the pairing method.
 
 Verification substitutes a solved coefficient family and checks that every
 constraint holds identically.  Substitution is a ring homomorphism, so each
-combined entry is substituted once per move and family, and each closure
-residual is the sum of those entries times powers of the substituted t.
+combined entry E is substituted once per move and family, and each closure
+residual is a row of G(sigma(t)) . E.
 
 Everything here runs with cleared denominators: generic coefficients x, y,
 z are free symbols, and substituting the solved family multiplies the other
@@ -27,7 +30,9 @@ side of each equation by the appropriate delta power.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from weldskein.algebra import DeltaFraction, Polynomial, delta
@@ -88,7 +93,8 @@ def tangle_bracket(t: Tangle) -> TangleBracket:
     labels = tuple(sorted(edge_of_label))
     sums, neg_count = state_sums(d, CoefficientSystem.generic(),
                                  [edge_of_label[lab] for lab in labels])
-    entries = {frozenset(frozenset(labels[i] for i in cls) for cls in part): value
+    label = labels.__getitem__
+    entries = {frozenset(frozenset(map(label, cls)) for cls in part): value
                for part, value in sums.items() if not value.is_zero()}
     return TangleBracket(labels, entries, neg_count)
 
@@ -115,29 +121,66 @@ def _cycle_count(pairing: Pairing, partner: Mapping[str, str]) -> int:
     return cycles
 
 
+class Gram:
+    """The Gram matrix G[q][p] = t^cycles(p, q) of one endpoint-label tuple.
+
+    Closures q and state pairings p are both perfect matchings of the
+    labels, listed in ``matchings`` (``perfect_matchings`` order).
+    ``row(q)`` holds cycles(p, q) for every p in that order, and
+    ``column(p)`` is the position of p.  ``t_powers`` is t^0 .. t^k.
+    """
+
+    __slots__ = ('matchings', 't_powers', '_columns', '_rows')
+
+    def __init__(self, labels: tuple[str, ...]):
+        self.matchings = tuple(perfect_matchings(labels))
+        self.t_powers = tuple(Polynomial.monomial(1, t=k)
+                              for k in range(len(labels) // 2 + 1))
+        arcs: dict[tuple[str, str], frozenset] = {}     # one set per arc
+        keys = [frozenset(arcs.setdefault(p, frozenset(p)) for p in m)
+                for m in self.matchings]
+        self._columns = {p: i for i, p in enumerate(keys)}
+        self._rows = {}
+        for q, m in zip(keys, self.matchings):
+            partner = {u: v for pair in m for u, v in (pair, pair[::-1])}
+            self._rows[q] = tuple(_cycle_count(p, partner) for p in keys)
+
+    def column(self, pairing: Pairing) -> int:
+        return self._columns[pairing]
+
+    def row(self, pairs: Iterable[Iterable[str]]) -> tuple[int, ...]:
+        pairs = [tuple(p) for p in pairs]
+        row = self._rows.get(frozenset(map(frozenset, pairs)))
+        if (row is None or len(pairs) != len(self.matchings[0])
+                or any(len(p) != 2 for p in pairs)):
+            raise ValueError('closure must be a perfect matching of the endpoints')
+        return row
+
+
+@functools.cache
+def gram(labels: tuple[str, ...]) -> Gram:
+    """The Gram table of ``labels``, built on first use and then kept."""
+    return Gram(labels)
+
+
 def close(tb: TangleBracket, pairs: Iterable[Iterable[str]],
           t_powers: Optional[Sequence[Polynomial]] = None) -> Polynomial:
-    """Compose a closure pairing with each state pairing and sum the values.
+    """One closure of a bracket: row ``pairs`` of G(t) . D.
 
-    Each pairing's entry gains one loop per closed curve that its strands
-    form with the closure's arcs: it is multiplied by ``t_powers[cycles]``,
-    by default t^cycles with t the loop symbol.  ``t_powers`` needs one
-    entry more than the closure has arcs.  Returns the cleared-denominator
-    polynomial (implicit delta power is ``tb.neg_count``).
+    The entries are summed per cycle count k and each sum is multiplied
+    by ``t_powers[k]`` once (by default t^k; one entry more than the
+    closure has arcs).  The implicit delta power is ``tb.neg_count``.
     """
-    pairs = [tuple(p) for p in pairs]
-    flat = [lab for p in pairs for lab in p]
-    if sorted(flat) != sorted(tb.labels) or any(len(p) != 2 for p in pairs):
-        raise ValueError('closure must be a perfect matching of the endpoints')
-    partner = {}
-    for u, v in pairs:
-        partner[u], partner[v] = v, u
-    # every curve runs through at least one closure arc
-    if t_powers is None:
-        t_powers = [Polynomial.monomial(1, t=k) for k in range(len(pairs) + 1)]
-    return Polynomial.sum_of_products(
-        (value, t_powers[_cycle_count(pairing, partner)])
-        for pairing, value in tb.entries.items())
+    table = gram(tb.labels)
+    row = table.row(pairs)
+    groups: dict[int, list[Polynomial]] = {}
+    for pairing, value in tb.entries.items():
+        groups.setdefault(row[table.column(pairing)], []).append(value)
+    if 0 in groups:         # no arcs: the one entry is its own closure
+        return Polynomial.sum_of(groups[0])
+    t_powers = table.t_powers if t_powers is None else t_powers
+    return Polynomial.sum_of_products((Polynomial.sum_of(values), t_powers[k])
+                                      for k, values in groups.items())
 
 
 # -- constraints ----------------------------------------------------------------
@@ -149,13 +192,33 @@ def normalize_equation(p: Polynomial) -> Polynomial:
     if not terms:
         return p
     content = p.content_and_sign()
-    exps = list(terms)
-    common = [min(col) for col in zip(*exps)]
-    new_terms = {}
-    for e, c in terms.items():
-        ne = tuple(ei - common[i] for i, ei in enumerate(e))
-        new_terms[ne] = c // content
-    return Polynomial(new_terms)
+    common = tuple(map(min, zip(*terms)))
+    return Polynomial({tuple(map(sub, e, common)): c // content
+                       for e, c in terms.items()})
+
+
+class FamilyTable:
+    """A solved family's substitution, r and powers of delta, omega and
+    sigma(t), each formed once per ``verify_solution`` call."""
+
+    __slots__ = ('family', 'sigma', 'r', '_bases', '_powers')
+
+    def __init__(self, family: CoefficientSystem):
+        if not family.is_solved:
+            raise ValueError('a family table needs a solved family')
+        self.family = family
+        self.sigma = family.substitution()
+        self.r = Polynomial.var('r')
+        self._bases = {'delta': delta(), 'omega': family.omega(),
+                       't': self.sigma['t']}
+        self._powers = {name: [Polynomial.one()] for name in self._bases}
+
+    def power(self, name: str, k: int) -> Polynomial:
+        """base^k for the base 'delta', 'omega' or 't' (sigma(t))."""
+        powers = self._powers[name]
+        while len(powers) <= k:
+            powers.append(powers[-1] * self._bases[name])
+        return powers[k]
 
 
 @dataclass
@@ -164,15 +227,14 @@ class MoveSides:
 
     ``dw``/``dv`` are the writhe and virtual-writhe offsets of lhs relative
     to rhs.  ``generic`` holds D_p = L_p - r^dv * R_p per state pairing p,
-    so closing it once, with the powers of t in ``t_powers``, gives a
-    closure's generic equation.  Under a solved family sigma, each pairing
-    becomes one entry
+    so a closure's generic equation is one row of G(t) . D (:func:`close`).
+    Under a solved family sigma, each pairing becomes one entry
 
         E_p = sigma(L_p) * delta^neg_r * omega^max(0, -dw)
               - sigma(R_p) * delta^neg_l * r^dv * omega^max(0, dw),
 
-    substituted once per family; a closure's residual is then the sum of
-    E_p * sigma(t)^cycles, because sigma is a ring homomorphism.
+    substituted once per family; a closure's residual is then the row of
+    G(sigma(t)) . E, because sigma is a ring homomorphism.
     """
 
     lhs: TangleBracket
@@ -180,7 +242,6 @@ class MoveSides:
     dw: int = 0
     dv: int = 0
     generic: TangleBracket = field(init=False)
-    t_powers: list[Polynomial] = field(init=False, repr=False)
     _solved: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
 
@@ -190,34 +251,34 @@ class MoveSides:
         r = Polynomial.var('r') if self.dv % 2 else 1
         entries = dict(self.lhs.entries)
         for pairing, value in self.rhs.entries.items():
-            entries[pairing] = entries.get(pairing, Polynomial.zero()) - value * r
+            value = value * r
+            entries[pairing] = entries[pairing] - value if pairing in entries else -value
         # generic x, y, z are free symbols: no delta power to clear
         self.generic = TangleBracket(
             self.lhs.labels,
             {k: v for k, v in entries.items() if not v.is_zero()}, 0)
-        arcs = len(self.lhs.labels) // 2
-        self.t_powers = [Polynomial.monomial(1, t=k) for k in range(arcs + 1)]
 
     def pairings(self) -> list[Pairing]:
         """State pairings of either side, in tag order."""
         return sorted(set(self.lhs.entries) | set(self.rhs.entries),
                       key=pairing_tag)
 
-    def solved(self, family: CoefficientSystem) -> tuple[TangleBracket, list[Polynomial]]:
-        """The combined entries E_p under ``family`` and the powers of its t.
+    def solved(self, table: FamilyTable) -> tuple[TangleBracket, list[Polynomial]]:
+        """The combined entries E_p under ``table``'s family and sigma(t)^k.
 
         Formed on the first call for a family and kept on this object, so
         every constraint of the move reads the same entries.
         """
-        if family not in self._solved:
-            sigma = family.substitution()
-            left = delta() ** self.rhs.neg_count * family.omega() ** max(0, -self.dw)
-            right = -(delta() ** self.lhs.neg_count
-                      * Polynomial.var('r') ** (self.dv % 2)
-                      * family.omega() ** max(0, self.dw))
+        found = self._solved.get(table.family)
+        if found is None:
+            left = (table.power('delta', self.rhs.neg_count)
+                    * table.power('omega', max(0, -self.dw)))
+            right = -(table.power('delta', self.lhs.neg_count)
+                      * (table.r if self.dv % 2 else 1)
+                      * table.power('omega', max(0, self.dw)))
             entries = {}
             for pairing in self.pairings():
-                parts = [(side.entries[pairing].substitute(sigma), factor)
+                parts = [(side.entries[pairing].substitute(table.sigma), factor)
                          for side, factor in ((self.lhs, left), (self.rhs, right))
                          if pairing in side.entries]
                 value = Polynomial.sum_of_products(parts)
@@ -225,9 +286,10 @@ class MoveSides:
                     entries[pairing] = value
             solved = TangleBracket(self.lhs.labels, entries,
                                    self.lhs.neg_count + self.rhs.neg_count)
-            powers = [sigma['t'] ** k for k in range(len(self.t_powers))]
-            self._solved[family] = (solved, powers)
-        return self._solved[family]
+            t_powers = [table.power('t', k)
+                        for k in range(len(self.lhs.labels) // 2 + 1)]
+            found = self._solved[table.family] = (solved, t_powers)
+        return found
 
 
 @dataclass
@@ -249,7 +311,8 @@ class Constraint:
     def dw(self) -> int:
         return self.sides.dw
 
-    def _read(self, tb: TangleBracket, t_powers: Sequence[Polynomial]) -> Polynomial:
+    def _read(self, tb: TangleBracket,
+              t_powers: Optional[Sequence[Polynomial]] = None) -> Polynomial:
         if self.closure is None:
             return tb.entries.get(self.pairing, Polynomial.zero())
         return close(tb, self.closure, t_powers)
@@ -262,11 +325,16 @@ class Constraint:
         """
         if self.dw != 0:
             raise ValueError('writhe-shifting move has no generic equation')
-        return self._read(self.sides.generic, self.sides.t_powers)
+        return self._read(self.sides.generic)
 
-    def residual(self, family: CoefficientSystem) -> Polynomial:
-        """Substitute a solved family; zero iff the constraint holds."""
-        return self._read(*self.sides.solved(family))
+    def residual(self, family: CoefficientSystem,
+                 table: Optional[FamilyTable] = None) -> Polynomial:
+        """Substitute a solved family; zero iff the constraint holds.
+
+        ``table`` is the family's :class:`FamilyTable`, which a caller that
+        checks many moves builds once; without it, one is built here.
+        """
+        return self._read(*self.sides.solved(table or FamilyTable(family)))
 
 
 @dataclass
@@ -287,20 +355,14 @@ class ConstraintSet:
         return out
 
     def deduplicated_equations(self) -> list[Polynomial]:
-        """Distinct nonzero generic equations up to unit and content."""
-        seen = {}
-        for c in self.constraints:
-            if c.dw != 0:
-                continue
-            eq = c.generic_equation()
-            if eq.is_zero():
-                continue
-            eq = normalize_equation(eq)
-            key = frozenset(eq.terms().items())
-            nkey = frozenset((-eq).terms().items())
-            if key not in seen and nkey not in seen:
-                seen[key] = eq
-        return list(seen.values())
+        """Distinct nonzero generic equations up to unit and content.
+
+        ``normalize_equation`` makes the leading coefficient positive, so
+        an equation and its negative normalize alike.
+        """
+        eqs = (normalize_equation(c.generic_equation())
+               for c in self.constraints if c.dw == 0)
+        return list(dict.fromkeys(eq for eq in eqs if not eq.is_zero()))
 
 
 # -- the builtin move tangles ------------------------------------------------
@@ -396,7 +458,7 @@ def move_constraints(lhs: Tangle, rhs: Tangle,
     Both tangles must carry the same endpoint labels.
     """
     sides = MoveSides(tangle_bracket(lhs), tangle_bracket(rhs), dw, dv)
-    matchings = perfect_matchings(sides.lhs.labels)
+    matchings = gram(sides.lhs.labels).matchings
     if method == 'pairing':
         constraints = [Constraint(pairing_tag(p), sides, pairing=p)
                        for p in sides.pairings()]
@@ -418,20 +480,21 @@ def constraints_for(move_name: str) -> ConstraintSet:
 # -- kink expansions and the solved-family report ------------------------------
 
 
-def _kink(tb: TangleBracket, family: CoefficientSystem) -> DeltaFraction:
-    """A kink tangle's coefficient under ``family``.
+def _kink(tb: TangleBracket, sigma: Mapping[str, Polynomial]) -> DeltaFraction:
+    """A kink tangle's coefficient under the solved family ``sigma``.
 
     Derived from the tangle bracket, not hardcoded: the kink's one
     strand-pairing value equals coeff * [plain strand].
     """
     [poly] = tb.entries.values()
-    return DeltaFraction(poly.substitute(family.substitution()), tb.neg_count)
+    return DeltaFraction(poly.substitute(sigma), tb.neg_count)
 
 
 def kink_coefficients(family: CoefficientSystem) -> tuple[DeltaFraction, DeltaFraction]:
     """Expansion coefficients of the positive and negative kink tangles."""
     moves = builtin_moves()
-    return tuple(_kink(tangle_bracket(parse_tangle(moves[name].lhs)), family)
+    sigma = family.substitution()
+    return tuple(_kink(tangle_bracket(parse_tangle(moves[name].lhs)), sigma)
                  for name in ('r1a', 'r1b'))
 
 
@@ -491,15 +554,16 @@ def verify_solution(family: CoefficientSystem) -> SolutionReport:
     """
     if not family.is_solved:
         raise ValueError('verify_solution needs a solved family')
+    table = FamilyTable(family)
     checks = []
     kinks = {}
     for name in builtin_moves():
         cset = constraints_for(name)
         if name in ('r1a', 'r1b'):
-            kinks[name] = _kink(cset.constraints[0].sides.lhs, family)
+            kinks[name] = _kink(cset.constraints[0].sides.lhs, table.sigma)
         residuals = []
         for c in cset.constraints:
-            res = c.residual(family)
+            res = c.residual(family, table)
             if not res.is_zero():
                 residuals.append(f'{c.tag}: {normalize_equation(res).render()}')
         n_eq = len(cset.deduplicated_equations()) if cset.constraints and \

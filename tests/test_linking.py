@@ -114,3 +114,60 @@ def test_linking_values_by_hand():
 def test_generic_family_has_no_invariant():
     with pytest.raises(ValueError):
         linking_y(parse(CORPUS_TEXT['hopf_pos']), CoefficientSystem.generic())
+
+
+def tree_link(parents, rng):
+    """A link whose nonzero linking numbers form a tree (or a forest).
+
+    Component v > 0 is clasped to component parents[v - 1] by one or two
+    classical crossings with random signs and over strands; a single
+    crossing gets a virtual crossing beside it half the time.  Each
+    component is one circle that meets its crossings in a random order.
+    """
+    n = len(parents) + 1
+    events = {u: [] for u in range(n)}      # component -> (row, in-slot)
+    rows = []
+    for v, u in enumerate(parents, start=1):
+        kinds = [rng.choice(('X+', 'X-')) for _ in range(rng.randint(1, 2))]
+        if len(kinds) == 1 and rng.random() < 0.5:
+            kinds.append('V')
+        for kind in kinds:
+            first, second = (u, v) if rng.random() < 0.5 else (v, u)
+            rows.append([kind, None, None, None, None])
+            events[first].append((len(rows) - 1, 1))
+            events[second].append((len(rows) - 1, 3))
+    for u, evs in events.items():
+        rng.shuffle(evs)
+        for k, (row, slot) in enumerate(evs):
+            rows[row][slot] = f'c{u}e{k}'
+            rows[row][slot + 1] = f'c{u}e{(k + 1) % len(evs)}'
+    return parse('\n'.join(' '.join(r) for r in rows) + '\n')
+
+
+@pytest.mark.parametrize('n', (2, 3, 5, 8, 12))
+def test_chains(n):
+    assert_same_y(tree_link(list(range(n - 1)), random.Random(n)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 12))
+def test_random_trees(seed, n):
+    rng = random.Random(seed)
+    assert_same_y(tree_link([rng.randrange(v) for v in range(1, n)], rng))
+
+
+def test_long_chain_is_linear():
+    # the cut loop would sum 2^39 cuts; a tree part is 2 * prod(1 + rho^L)
+    d = tree_link(list(range(39)), random.Random(40))
+    linking = {}
+    for c in d.classical:
+        pair = tuple(sorted(int(e[1:e.index('e')]) for e in (c.over_in, c.under_in)))
+        linking[pair] = linking.get(pair, 0) + c.sign
+    assert sorted(linking) == [(u, u + 1) for u in range(39)]
+    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
+    rho = DeltaFraction(-(ar - b) ** 2, 1)
+    rho_inv = DeltaFraction(-(ar + b) ** 2, 1)
+    expected = DeltaFraction.from_int(2)
+    for l in linking.values():
+        expected = expected * (1 + (rho if l > 0 else rho_inv) ** abs(l))
+    assert linking_y(d, CoefficientSystem.welded(-1)) == expected

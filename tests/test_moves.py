@@ -11,11 +11,14 @@ from weldskein.moves import (INSERTION_KINDS, MoveError, MoveKind, MoveSite,
 from weldskein.skein import CoefficientSystem, bracket, y_invariant
 
 from conftest import CORPUS_TEXT
+from scramble_digests import (CAPS, N_MOVES, SEEDS, case_key,
+                              stored_digests, walks_digest)
 from scramble_reference import (reference_apply, reference_scramble,
                                 reference_sites)
 
 WSYM = CoefficientSystem.welded()
 EXT = CoefficientSystem.extended()
+DIGESTS = stored_digests()
 
 # A fixture exhibiting each removal/slide kind, with the family its
 # invariance is tested under (wens need nu = 1).
@@ -268,16 +271,32 @@ class TestReferenceOracle:
     against the nested-loop lists and kind-by-kind rewrites of
     ``scramble_reference``."""
 
+    # the walks of seeds 0-199 per (diagram, cap, wen moves), held to the
+    # reference's digests (scramble_digests.py); a mismatch re-runs the
+    # reference for that case and names the first differing seed
     @pytest.mark.parametrize('name', sorted(CORPUS_TEXT))
     def test_scramble_matches_reference(self, name):
         d = parse(CORPUS_TEXT[name])
-        for size_cap in (12, 6):
+        for size_cap in CAPS:
             for wen_moves in (True, False):
-                for seed in range(200):
-                    assert scramble(d, seed, 15, size_cap, wen_moves) \
-                        == reference_scramble(d, seed, 15, size_cap,
-                                              wen_moves), \
-                        (size_cap, wen_moves, seed)
+                case = case_key(name, size_cap, wen_moves)
+                if walks_digest(scramble, d, size_cap, wen_moves) \
+                        == DIGESTS[case]:
+                    continue
+                seed = next((seed for seed in SEEDS
+                             if scramble(d, seed, N_MOVES, size_cap, wen_moves)
+                             != reference_scramble(d, seed, N_MOVES, size_cap,
+                                                   wen_moves)), None)
+                pytest.fail(f'{case}: walk of seed {seed} differs from the '
+                            'reference' if seed is not None else
+                            f'{case}: stored digest differs from the reference')
+
+    def test_digests_are_the_reference(self):
+        # the cheapest case, re-run through the frozen reference itself
+        case = case_key('wen_circle', 6, True)
+        d = parse(CORPUS_TEXT['wen_circle'])
+        assert walks_digest(reference_scramble, d, 6, True) == DIGESTS[case]
+        assert len(DIGESTS) == len(CORPUS_TEXT) * len(CAPS) * 2
 
     # the corpus, plus the fixtures: scrambles of the corpus alone rarely
     # show an F1 or V3 site

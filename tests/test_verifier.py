@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,14 +10,14 @@ from weldskein.diagram import (Tangle, UnionFind, parse, parse_tangle,
 from weldskein.skein import (SMOOTHINGS, CoefficientSystem, bracket,
                              smoothing_pairs)
 from weldskein.verifier import (Constraint, builtin_moves, close,
-                                constraints_for, f1_branch_residuals,
+                                constraints_for, f1_branch_residuals, gram,
                                 kink_coefficients, move_constraints,
                                 normalize_equation, pairing_tag,
                                 perfect_matchings, tangle_bracket,
                                 verify_solution)
 
 from conftest import CORPUS_TEXT
-from verifier_reference import reference_move_constraints
+from verifier_reference import _cycle_count, reference_move_constraints
 
 GENERIC = CoefficientSystem.generic()
 WSYM = CoefficientSystem.welded()
@@ -89,6 +90,86 @@ class TestTangleBracket:
         tb = tangle_bracket(t)
         with pytest.raises(ValueError):
             close(tb, [('1', '1')])
+
+
+def gram_matrix(labels, t):
+    """G[q][p] = t^cycles(p, q) over the perfect matchings, at an integer t."""
+    table = gram(tuple(labels))
+    return [[Fraction(t) ** c for c in table.row(q)] for q in table.matchings]
+
+
+def rank_and_det(rows):
+    """Rank and determinant by exact Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    n, rank, det = len(rows), 0, Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        for i in range(rank + 1, n):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, det
+
+
+class TestGram:
+    """The closures of 2k endpoints are rows of the Brauer algebra's Gram
+    matrix G[q][p] = t^cycles(p, q)."""
+
+    # det G as a product of (t - root)^multiplicity; deg det = k * (2k-1)!!
+    DETERMINANTS = {4: {0: 3, 1: 2, -2: 1},
+                    6: {0: 15, 2: 5, 1: 14, -2: 10, -4: 1}}
+
+    @pytest.mark.parametrize('points', sorted(DETERMINANTS))
+    def test_determinant(self, points):
+        labels = [str(i) for i in range(1, points + 1)]
+        factors = self.DETERMINANTS[points]
+        degree = sum(factors.values())
+        assert degree == len(perfect_matchings(labels)) * points // 2
+        # two polynomials of degree <= deg that agree at deg + 1 points
+        for t in range(-degree // 2, degree // 2 + 2):
+            expected = 1
+            for root, mult in factors.items():
+                expected *= (t - root) ** mult
+            assert rank_and_det(gram_matrix(labels, t))[1] == expected, t
+
+    @pytest.mark.parametrize('points, t, rank', [
+        (6, 2, 10), (6, -2, 5), (6, 1, 1), (6, -4, 14),
+        (4, 2, 3), (4, -2, 2), (4, 1, 1)])
+    def test_rank_at_roots(self, points, t, rank):
+        labels = [str(i) for i in range(1, points + 1)]
+        assert rank_and_det(gram_matrix(labels, t))[0] == rank
+
+    @pytest.mark.parametrize('name', sorted(builtin_moves()))
+    def test_rows_match_per_pairing_walk(self, name):
+        schema = builtin_moves()[name]
+        pairings = {p for side in (schema.lhs, schema.rhs)
+                    for p in tangle_bracket(parse_tangle(side)).entries}
+        table = gram(tangle_bracket(parse_tangle(schema.lhs)).labels)
+        states = [frozenset(map(frozenset, m)) for m in table.matchings]
+        assert pairings <= set(states)
+        assert [table.column(p) for p in states] == list(range(len(states)))
+        for pairs in table.matchings:
+            partner = {}
+            for u, v in pairs:
+                partner[u], partner[v] = v, u
+            assert table.row(pairs) == tuple(_cycle_count(p, partner)
+                                             for p in states), pairs
+
+    def test_table_is_immutable(self):
+        table = gram(('1', '2', '3', '4'))
+        assert isinstance(table.matchings, tuple)
+        assert all(isinstance(m, tuple) and all(isinstance(p, tuple) for p in m)
+                   for m in table.matchings)
+        assert all(isinstance(table.row(q), tuple) for q in table.matchings)
+        assert isinstance(table.t_powers, tuple)
 
 
 class TestMoveConstraints:
