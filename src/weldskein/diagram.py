@@ -232,13 +232,36 @@ def pass_through(d: Diagram) -> UnionFind:
     return uf
 
 
+def strands(d: Diagram) -> dict[str, int]:
+    """Map each edge to the index of its link component, numbered from 0.
+
+    Every vertex passes each strand from an in-slot to an out-slot, so in a
+    valid diagram following the strands from edge to edge walks around
+    each component once.  Free loops have no edges and are not counted.
+    """
+    after: dict[str, str] = {}
+    for c in d.classical:
+        after[c.over_in] = c.over_out
+        after[c.under_in] = c.under_out
+    for v in d.virtual_x:
+        after[v.a_in] = v.a_out
+        after[v.b_in] = v.b_out
+    for w in d.wens:
+        after[w.w_in] = w.w_out
+    component: dict[str, int] = {}
+    count = 0
+    for e in after:
+        if e not in component:
+            while e not in component:
+                component[e] = count
+                e = after[e]
+            count += 1
+    return component
+
+
 def components(d: Diagram) -> int:
     """Number of link components, tracing strands through all vertices."""
-    uf = pass_through(d)
-    for c in d.classical:
-        uf.union(c.over_in, c.over_out)
-        uf.union(c.under_in, c.under_out)
-    return len(uf.roots()) + d.free_loops
+    return len(set(strands(d).values())) + d.free_loops
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:

@@ -35,11 +35,12 @@ Coefficient systems:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from weldskein import statesum
-from weldskein.algebra import DeltaFraction, Polynomial, delta
-from weldskein.diagram import (Diagram, UnionFind, check_valid, pass_through,
+from weldskein.algebra import DeltaFraction, Polynomial
+from weldskein.diagram import (Diagram, check_valid, pass_through, strands,
                                virtual_writhe, writhe)
 
 SMOOTHINGS = ('V', 'I', 'C')
@@ -302,6 +303,71 @@ def y_invariant(d: Diagram, cs: CoefficientSystem, *,
     return DeltaFraction(value.num * unit, value.delta_power + max(w, 0))
 
 
+def _cut_histogram(linked: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Count the spin patterns of the linked components by cut exponent.
+
+    ``linked`` maps each component index to its neighbours and their
+    nonzero L_ij.  A pattern puts each component on side 0 or 1, and its exponent is
+    the sum of L_ij over the pairs on opposite sides.  One sweep, as the
+    kernel's: the layer holds one {exponent: count} histogram per spin
+    pattern of the frontier, one bit per frontier component, and a
+    component leaves the frontier after its last neighbour, so the work is
+    2^(peak frontier width) per component.  The order is greedy and
+    deterministic: next is the component with the most neighbours already
+    met, then the one met most recently, so that a branch is finished
+    before the next begins, then the one with the fewest neighbours, and
+    last the lowest index.  Without the middle two keys a tree's frontier
+    can hold every branch point at once.
+    """
+    # key: neighbours met, the step of the latest one, fewest neighbours
+    key = {v: (0, -1, -len(nbrs)) for v, nbrs in linked.items()}
+    todo = sorted(linked)
+    order = []
+    while todo:
+        v = max(todo, key=key.__getitem__)      # first maximum: lowest index
+        todo.remove(v)
+        for u in linked[v]:
+            met, _, fewest = key[u]
+            key[u] = (met + 1, len(order), fewest)
+        order.append(v)
+    step_of = {v: step for step, v in enumerate(order)}
+    leaving: dict[int, list[int]] = {}
+    for v, step in step_of.items():
+        gone = max(step, *(step_of[u] for u in linked[v]))
+        leaving.setdefault(gone, []).append(v)
+
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    bit_of: dict[int, int] = {}
+    for step, v in enumerate(order):
+        if bit_of:
+            spins: tuple[int, ...] = (0, 1)
+        else:
+            # v starts a new part: z and -z cut alike, so v stays on side 0
+            # and every cut counts twice
+            layer = {0: {e: 2 * n for e, n in layer[0].items()}}
+            spins = (0,)
+        bit = min(set(range(len(bit_of) + 1)) - set(bit_of.values()))
+        edges = [(bit_of[u], l) for u, l in linked[v].items() if u in bit_of]
+        total = sum(l for _, l in edges)
+        grown: dict[int, dict[int, int]] = {}
+        for pattern, hist in layer.items():
+            cut = sum(l for b, l in edges if pattern >> b & 1)
+            for spin in spins:
+                shift = total - cut if spin else cut
+                grown[pattern | spin << bit] = {e + shift: n
+                                                for e, n in hist.items()}
+        bit_of[v] = bit
+        layer = grown
+        if step in leaving:
+            keep = ~sum(1 << bit_of.pop(u) for u in leaving[step])
+            layer = {}
+            for pattern, hist in grown.items():
+                merged = layer.setdefault(pattern & keep, {})
+                for e, n in hist.items():
+                    merged[e] = merged.get(e, 0) + n
+    return layer[0]
+
+
 def linking_y(d: Diagram, cs: CoefficientSystem) -> DeltaFraction:
     """Y from the components and their linking numbers; equals ``y_invariant``.
 
@@ -312,74 +378,66 @@ def linking_y(d: Diagram, cs: CoefficientSystem) -> DeltaFraction:
     rho^(sum of L_ij over the cut pairs), where rho = -(a*r - b)^2/delta
     and 1/rho = -(a*r + b)^2/delta; symbolic nu gives the A + nu*B that
     takes those two values.  docs/linking-numbers.md has the proof.
-    The cut sum factors over the parts of the graph of nonzero L_ij: a
-    part that is a tree gives 2 * prod(1 + rho^L) over its edges, in
-    linear time, and any other part sums its 2^(size - 1) cuts.
+    ``_cut_histogram`` counts the cuts in one sweep over the graph of
+    nonzero L_ij, whose cost is 2^(peak frontier width) per component, and
+    the numerator over delta^top is built as one list of integers, with no
+    polynomial product or power.
     """
     if not cs.is_solved:
         raise ValueError('the normalized invariant needs a solved family')
     check_valid(d)
     _check_wens(d, cs)
-    strands = pass_through(d)
-    for c in d.classical:
-        strands.union(c.over_in, c.over_out)
-        strands.union(c.under_in, c.under_out)
-    n_comp = len(strands.roots()) + d.free_loops
-    y_plus = Polynomial.monomial((-2) ** n_comp, s=len(d.wens) % 2)
+    component = strands(d)
+    n_comp = len(set(component.values())) + d.free_loops
     if cs.nu == 1:
-        return DeltaFraction(y_plus)
-    linking: dict[tuple[str, ...], int] = {}
+        return DeltaFraction(Polynomial.monomial((-2) ** n_comp,
+                                                 s=len(d.wens) % 2))
+    pairs: dict[tuple[int, int], int] = {}
     for c in d.classical:
-        pair = tuple(sorted((strands.find(c.over_in), strands.find(c.under_in))))
-        if pair[0] != pair[1]:
-            linking[pair] = linking.get(pair, 0) + c.sign
-    linking = {pair: l for pair, l in linking.items() if l}
-    parts = UnionFind()
-    for i, j in linking:
-        parts.union(i, j)
-    members: dict[str, list[str]] = {}
-    for comp in parts.parent:
-        members.setdefault(parts.find(comp), []).append(comp)
-    # cut exponent -> number of cuts; a component that links no other one
-    # adds a factor 2, and so does each linked part, whose first component
-    # stays on side 0 because z and -z cut the same pairs
-    hist = {0: 2 ** (n_comp - len(parts.parent))}
-    for comps in members.values():
-        index = {comp: k for k, comp in enumerate(comps)}
-        edges = [(index[i], index[j], l)
-                 for (i, j), l in linking.items() if i in index]
-        if len(edges) == len(comps) - 1:
-            # a tree: the cut edges fix z, so each edge is cut or not on
-            # its own and the cuts are 2 * prod(1 + rho^L) over the edges
-            cuts: dict[int, int] = {0: 2}
-            for _, _, l in edges:
-                both: dict[int, int] = {}
-                for e, n in cuts.items():
-                    both[e] = both.get(e, 0) + n
-                    both[e + l] = both.get(e + l, 0) + n
-                cuts = both
-        else:
-            cuts = {}
-            for side in range(0, 1 << len(comps), 2):
-                e = sum(l for i, j, l in edges if (side >> i ^ side >> j) & 1)
-                cuts[e] = cuts.get(e, 0) + 2
-        joint: dict[int, int] = {}
-        for e, n in hist.items():
-            for f, m in cuts.items():
-                joint[e + f] = joint.get(e + f, 0) + n * m
-        hist = joint
-    # one numerator over delta^top, one power per exponent: rho * delta is
-    # up = -(a*r - b)^2 and delta / rho is down = -(a*r + b)^2
-    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
-    up, down, top = -(ar - b) ** 2, -(ar + b) ** 2, max(map(abs, hist))
-    num = Polynomial.sum_of_products(
-        ((up if e > 0 else down) ** abs(e) * n, delta() ** (top - abs(e)))
-        for e, n in hist.items())
+        i, j = component[c.over_in], component[c.under_in]
+        if i != j:
+            pair = (i, j) if i < j else (j, i)
+            pairs[pair] = pairs.get(pair, 0) + c.sign
+    linked: dict[int, dict[int, int]] = {}
+    for (i, j), l in pairs.items():
+        if l:
+            linked.setdefault(i, {})[j] = l
+            linked.setdefault(j, {})[i] = l
+    # a component that links no other one adds a factor 2
+    hist = {e: n << n_comp - len(linked)
+            for e, n in _cut_histogram(linked).items()}
+    # One numerator over delta^top, the sum over k of Q_k * delta^(top - k)
+    # with Q_k = count_k * up^k + count_-k * down^k, where rho * delta is
+    # up = -(a*r - b)^2 and delta / rho is down = -(a*r + b)^2.  Every term
+    # is a^i * b^(2*top - i) * r^(i mod 2), so num[i] is its coefficient:
+    # up^k has (-1)^(k+i) C(2k, i) and down^k has (-1)^k C(2k, i).  Horner
+    # in delta: each step multiplies by b^2 - a^2 and adds the next Q_k.
+    top = max(map(abs, hist))
+    num = [hist.get(0, 0)]
+    for k in range(1, top + 1):
+        num = [x - y for x, y in zip(num + [0, 0], [0, 0] + num)]   # * delta
+        up, down = hist.get(k, 0), hist.get(-k, 0)
+        if up or down:
+            for i in range(2 * k + 1):
+                num[i] += ((-1) ** k * comb(2 * k, i)
+                           * (down - up if i % 2 else down + up))
+
+    def term(i: int, nu: int) -> tuple[int, ...]:
+        # exponent slots in algebra.NAMES order: a b c x y z t r nu s
+        return (i, 2 * top - i, 0, 0, 0, 0, 0, i % 2, nu, 0)
+
     if cs.nu == -1:
-        return DeltaFraction(num, top)
-    # nu^2 = 1, so Y = A + nu*B with A + B = Y(1) and A - B = Y(-1).  The
-    # difference halves exactly: with c > 0, (-2)^c and every count above
-    # are even, and with c = 0 both values are 1.
-    half = y_plus * delta() ** top - num
-    half = Polynomial({e: k // 2 for e, k in half.terms().items()})
-    return DeltaFraction(num + half + Polynomial.var('nu') * half, top)
+        return DeltaFraction(Polynomial({term(i, 0): x
+                                         for i, x in enumerate(num)}), top)
+    # nu^2 = 1, so Y = A + nu*B with A + B = Y(1) and A - B = Y(-1).  Y(1)
+    # over delta^top is (-2)^c * delta^top, which has (-2)^c (-1)^j C(top, j)
+    # at i = 2j.  The difference halves exactly: with c > 0, (-2)^c and
+    # every count above are even, and with c = 0 both values are 1.
+    terms = {}
+    for i, x in enumerate(num):
+        j = i // 2
+        plus = 0 if i % 2 else (-2) ** n_comp * (-1) ** j * comb(top, j)
+        half = (plus - x) // 2
+        terms[term(i, 0)] = x + half
+        terms[term(i, 1)] = half
+    return DeltaFraction(Polynomial(terms), top)

@@ -4,9 +4,11 @@
 solved family; the spin weights that the proof rests on are checked against
 the skein triple crossing by crossing.
 """
+import dataclasses
 import itertools
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from weldskein.skein import (SMOOTHINGS, CoefficientSystem, WenError,
                              linking_y, smoothing_pairs, y_invariant)
 
 from conftest import CORPUS_TEXT
+from ring_link import ring_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / 'perfbench'))
 import inputs       # noqa: E402
@@ -116,18 +119,20 @@ def test_generic_family_has_no_invariant():
         linking_y(parse(CORPUS_TEXT['hopf_pos']), CoefficientSystem.generic())
 
 
-def tree_link(parents, rng):
-    """A link whose nonzero linking numbers form a tree (or a forest).
+def graph_link(edges, rng):
+    """A link whose pairs of clasped components are the given edges.
 
-    Component v > 0 is clasped to component parents[v - 1] by one or two
-    classical crossings with random signs and over strands; a single
-    crossing gets a virtual crossing beside it half the time.  Each
-    component is one circle that meets its crossings in a random order.
+    Components are numbered 0 to the largest vertex of ``edges``.  Each
+    edge (u, v) clasps u and v by one or two classical crossings with
+    random signs and over strands, so half the double clasps have opposite
+    signs and L_uv = 0; a single crossing gets a virtual crossing beside
+    it half the time.  Each component is one circle that meets its
+    crossings in a random order.
     """
-    n = len(parents) + 1
+    n = 1 + max(max(u, v) for u, v in edges)
     events = {u: [] for u in range(n)}      # component -> (row, in-slot)
     rows = []
-    for v, u in enumerate(parents, start=1):
+    for u, v in edges:
         kinds = [rng.choice(('X+', 'X-')) for _ in range(rng.randint(1, 2))]
         if len(kinds) == 1 and rng.random() < 0.5:
             kinds.append('V')
@@ -142,6 +147,12 @@ def tree_link(parents, rng):
             rows[row][slot] = f'c{u}e{k}'
             rows[row][slot + 1] = f'c{u}e{(k + 1) % len(evs)}'
     return parse('\n'.join(' '.join(r) for r in rows) + '\n')
+
+
+def tree_link(parents, rng):
+    """A link whose nonzero linking numbers form a tree (or a forest):
+    component v > 0 is clasped to component parents[v - 1]."""
+    return graph_link([(u, v) for v, u in enumerate(parents, start=1)], rng)
 
 
 @pytest.mark.parametrize('n', (2, 3, 5, 8, 12))
@@ -171,3 +182,119 @@ def test_long_chain_is_linear():
     for l in linking.values():
         expected = expected * (1 + (rho if l > 0 else rho_inv) ** abs(l))
     assert linking_y(d, CoefficientSystem.welded(-1)) == expected
+
+
+def graph_linking(d):
+    """The L_uv of a ``graph_link``, read from its edge names (c<u>e<k>),
+    so that it stands apart from ``diagram``."""
+    linking = {}
+    for c in d.classical:
+        u, v = (int(e[1:e.index('e')]) for e in (c.over_in, c.under_in))
+        pair = (min(u, v), max(u, v))
+        linking[pair] = linking.get(pair, 0) + c.sign
+    return linking
+
+
+def assert_cut_sum(d):
+    """Hold ``linking_y`` to a brute-force sum over all 2^c spin patterns."""
+    linking = graph_linking(d)
+    n = 1 + max(max(pair) for pair in linking)
+    counts = {}
+    for z in range(1 << n):
+        e = sum(l for (i, j), l in linking.items() if (z >> i ^ z >> j) & 1)
+        counts[e] = counts.get(e, 0) + 1
+    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
+    rho = DeltaFraction(-(ar - b) ** 2, 1)
+    rho_inv = DeltaFraction(-(ar + b) ** 2, 1)
+    y_minus = DeltaFraction.from_int(0)
+    for e, count in counts.items():
+        y_minus = y_minus + count * (rho if e > 0 else rho_inv) ** abs(e)
+    y_plus = DeltaFraction.from_int((-2) ** n)
+    for cs in FAMILIES:
+        got = linking_y(d, cs)
+        if cs.nu is None:
+            # Y = A + nu*B with A and B free of nu: its two values fix it
+            assert got.substitute({'nu': 1}) == y_plus
+            assert got.substitute({'nu': -1}) == y_minus
+        else:
+            assert got == (y_plus if cs.nu == 1 else y_minus), cs
+
+
+def assert_graph_y(d):
+    # the state sum where it is cheap, the brute-force cut sum beyond
+    if len(d.classical) <= 14:
+        assert_same_y(d)
+    else:
+        assert_cut_sum(d)
+
+
+def ring(k):
+    return [(u, (u + 1) % k) for u in range(k)]
+
+
+@pytest.mark.parametrize('k', (3, 4, 5, 7, 10, 14))
+def test_rings(k):
+    assert_graph_y(graph_link(ring(k), random.Random(k)))
+
+
+@pytest.mark.parametrize('k', (3, 5, 8))
+def test_wheels(k):
+    rim = [(u + 1, v + 1) for u, v in ring(k)]
+    hub = [(0, u) for u in range(1, k + 1)]
+    assert_graph_y(graph_link(rim + hub, random.Random(k)))
+
+
+@pytest.mark.parametrize('k', (4, 5, 6))
+def test_complete_graphs(k):
+    edges = list(itertools.combinations(range(k), 2))
+    assert_graph_y(graph_link(edges, random.Random(k)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 14))
+def test_random_graphs(seed, n):
+    rng = random.Random(seed)
+    p = rng.uniform(0.15, 0.6)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if rng.random() < p]
+    # keep every component on some edge, so that all n of them exist
+    edges += [(u, (u + 1) % n) for u in range(n)
+              if not any(u in edge for edge in edges)]
+    assert_graph_y(graph_link(edges, rng))
+
+
+def test_long_ring_is_linear():
+    # a ring's cut sum is prod(1 + rho^L) + prod(1 - rho^L): the transfer
+    # matrices [[1, x], [x, 1]] share the eigenvectors (1, 1) and (1, -1);
+    # every L is +1 here, so Y = (1 + rho)^40 + (1 - rho)^40
+    d = parse('\n'.join(ring_rows(40)) + '\n')
+    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
+    rho = DeltaFraction(-(ar - b) ** 2, 1)
+    cs = CoefficientSystem.welded(-1)
+    assert linking_y(d, cs) == (1 + rho) ** 40 + (1 + rho * -1) ** 40
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        linking_y(d, cs)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+
+
+def test_wide_tree_is_fast():
+    # a random tree, its crossings in random order: with ties in the sweep
+    # order going straight to the lowest index the frontier holds many
+    # branch points, and this took seconds instead of milliseconds
+    rng = random.Random(200)
+    d = tree_link([rng.randrange(v) for v in range(1, 200)], rng)
+    classical = list(d.classical)
+    rng.shuffle(classical)
+    d = dataclasses.replace(d, classical=tuple(classical))
+    ar, b = Polynomial.var('a') * Polynomial.var('r'), Polynomial.var('b')
+    rho = DeltaFraction(-(ar - b) ** 2, 1)
+    rho_inv = DeltaFraction(-(ar + b) ** 2, 1)
+    expected = DeltaFraction.from_int(2)
+    for l in graph_linking(d).values():
+        expected = expected * (1 + (rho if l > 0 else rho_inv) ** abs(l))
+    start = time.perf_counter()
+    assert linking_y(d, CoefficientSystem.welded(-1)) == expected
+    assert time.perf_counter() - start < 1
